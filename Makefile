@@ -127,6 +127,7 @@ fuzz:
 	$(GO) test ./internal/serialize -run '^$$' -fuzz FuzzProblemSpec -fuzztime 20s
 	$(GO) test ./internal/serialize -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 20s
 	$(GO) test ./internal/zoo -run '^$$' -fuzz FuzzZooManifest -fuzztime 20s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 20s
 
 coverage:
 	$(GO) test -cover ./...

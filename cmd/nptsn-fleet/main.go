@@ -36,7 +36,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obsv"
 	"repro/internal/serialize"
-	"repro/internal/zoo"
 )
 
 func main() {
@@ -62,7 +61,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		httpTimeout  = fs.Duration("http-timeout", time.Minute, "HTTP read timeout per client request (0 = none)")
 		faultSpec    = fs.String("fault", "", "fault-injection schedule for chaos drills, e.g. 'http.roundtrip:torn:p=0.2;http.roundtrip:hang:calls=3' (empty = off)")
 		faultSeed    = fs.Int64("fault-seed", 1, "seed of the -fault schedule; the same seed replays the same fault decisions")
-		zooDir       = fs.String("zoo", "", "shared policy zoo directory; zoo-eligible submissions skip shard routing and spread round-robin across alive replicas")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,22 +92,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "nptsn-fleet: %s\n", in)
 	}
 
-	// The coordinator's zoo view is read-only and only steers routing; the
-	// replicas open the same directory themselves to actually serve from it.
-	var z *zoo.Zoo
-	if *zooDir != "" {
-		var quarantined []string
-		var err error
-		z, quarantined, err = zoo.Open(*zooDir)
-		if err != nil {
-			return err
-		}
-		for _, q := range quarantined {
-			fmt.Fprintf(out, "nptsn-fleet: zoo quarantined %s\n", q)
-		}
-		fmt.Fprintf(out, "nptsn-fleet: zoo %s loaded (%d policies)\n", *zooDir, z.Len())
-	}
-
 	c := fleet.New(fleet.Options{
 		HeartbeatInterval: *hbInterval,
 		SuspectAfter:      *suspectAfter,
@@ -119,30 +101,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		HTTP:              replicaHTTP,
 		Metrics:           reg,
 		Events:            sink,
-		Zoo:               z,
 	})
 	defer c.Close()
-
-	// SIGHUP re-reads the shared zoo manifest so routing sees the policies
-	// a later nptsn-pretrain sweep added (replicas reload the same way).
-	if z != nil {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		defer signal.Stop(hup)
-		go func() {
-			for range hup {
-				quarantined, err := z.Reload()
-				if err != nil {
-					fmt.Fprintf(out, "nptsn-fleet: zoo reload failed: %v\n", err)
-					continue
-				}
-				for _, q := range quarantined {
-					fmt.Fprintf(out, "nptsn-fleet: zoo quarantined %s\n", q)
-				}
-				fmt.Fprintf(out, "nptsn-fleet: zoo reloaded (%d policies)\n", z.Len())
-			}
-		}()
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

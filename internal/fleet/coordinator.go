@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/obsv"
 	"repro/internal/service"
-	"repro/internal/zoo"
 )
 
 // Sentinel errors the HTTP layer maps onto status codes.
@@ -95,13 +94,6 @@ type Options struct {
 	// Metrics receives the nptsn_fleet_* series. Nil disables metrics.
 	Events  obsv.Sink
 	Metrics *obsv.Registry
-	// Zoo, when non-nil, is the coordinator's read-only view of the shared
-	// policy zoo the replicas serve from (typically the same directory,
-	// re-read on SIGHUP everywhere). Zoo-eligible submissions short-circuit
-	// shard routing: they need no replica-local plan or warm cache, so the
-	// coordinator spreads them round-robin across alive replicas instead of
-	// anchoring them on a home shard.
-	Zoo *zoo.Zoo
 }
 
 func (o *Options) withDefaults() Options {
@@ -226,9 +218,6 @@ type Coordinator struct {
 	// busy guards the background refresh/failover pass: the monitor skips
 	// a tick rather than piling a second network sweep on a slow one.
 	busy atomic.Bool
-
-	// zooRR rotates zoo-routed placements across alive replicas.
-	zooRR atomic.Uint64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -421,18 +410,7 @@ func (c *Coordinator) Submit(ctx context.Context, req service.Request) (JobStatu
 		}
 	}
 
-	// Zoo short-circuit, checked before shard routing: a submission the
-	// shared policy zoo can answer needs no home shard's plan or warm
-	// cache — any replica serves it at inference cost — so it spreads
-	// round-robin instead of hashing onto the ring.
-	zooRouted := service.ZooEligible(c.opt.Zoo, req)
-	var order []*replica
-	var home homeInfo
-	if zooRouted {
-		order, home = c.routeZoo(routeFp)
-	} else {
-		order, home = c.route(routeFp)
-	}
+	order, home := c.route(routeFp)
 	if len(order) == 0 {
 		return JobStatus{}, ErrNoReplicas
 	}
@@ -468,11 +446,6 @@ func (c *Coordinator) Submit(ctx context.Context, req service.Request) (JobStatu
 		}
 		if adopted {
 			c.met.incAdopted()
-		}
-		if zooRouted {
-			c.met.incZooRouted()
-			c.emit(obsv.Event{Type: EventZooRouted, Msg: j.id,
-				V: map[string]float64{"replicas_skipped": boolTo01(rep.id != home.id)}})
 		}
 		if rep.id != home.id {
 			// The home shard did not take the job: count why.
@@ -532,26 +505,15 @@ func (c *Coordinator) materialize(req service.Request) (service.Request, string,
 	baseFp := req.Base
 	if baseJob != nil {
 		baseFp = baseJob.fingerprint
-		if !req.HasInlineProblem() {
-			// Inject the tracked base job's derived spec so any replica can
-			// serve this delta; inherit its planning knobs the same way the
-			// replica's manager would, keeping fingerprints stable across
-			// home and fallback placements.
-			baseSelf, err := baseJob.req.Derive(baseJob.req.Problem)
-			if err != nil {
-				return service.Request{}, "", "", fmt.Errorf("%w: base job %s spec: %v", ErrBadRequest, req.Base, err)
-			}
-			req.Problem = baseSelf.Problem
-			if req.Params == (service.PlanParams{}) {
-				req.Params = baseSelf.Params
-			}
-			if !req.Certify && baseSelf.Certify {
-				req.Certify = true
-				if req.CertifySamples == 0 {
-					req.CertifySamples = baseSelf.CertifySamples
-				}
-			}
+		// Inject the tracked base job's derived spec so any replica can
+		// serve this delta, resolved by the same rule the replica's manager
+		// applies, keeping fingerprints stable across home and fallback
+		// placements.
+		baseSelf, err := baseJob.req.Derive(baseJob.req.Problem)
+		if err != nil {
+			return service.Request{}, "", "", fmt.Errorf("%w: base job %s spec: %v", ErrBadRequest, req.Base, err)
 		}
+		req, _ = service.ResolveBase(req, &baseSelf) // fails only without a base
 		req.Base = baseFp
 	}
 	dedupFp := ""
@@ -623,24 +585,6 @@ func (c *Coordinator) route(fp string) ([]*replica, homeInfo) {
 		}
 	}
 	return append(alive, suspect...), home
-}
-
-// routeZoo returns the routable replicas for a zoo-eligible submission:
-// the same alive-then-suspect candidates route would produce, rotated by
-// a round-robin counter instead of anchored on the fingerprint's home
-// shard. The reported home is the rotation's first candidate, so the
-// home-shard-miss accounting (hedged/fallback/delta-fallback) stays quiet
-// for zoo-routed jobs — there is no home to miss.
-func (c *Coordinator) routeZoo(fp string) ([]*replica, homeInfo) {
-	order, home := c.route(fp)
-	if len(order) == 0 {
-		return order, home
-	}
-	k := int((c.zooRR.Add(1) - 1) % uint64(len(order)))
-	rotated := make([]*replica, 0, len(order))
-	rotated = append(rotated, order[k:]...)
-	rotated = append(rotated, order[:k]...)
-	return rotated, homeInfo{id: rotated[0].id, state: rotated[0].state}
 }
 
 // place puts one fingerprint's work on one replica, idempotently: the
@@ -1009,6 +953,14 @@ func (c *Coordinator) handoff(ctx context.Context, j *fleetJob, from string) {
 			continue
 		}
 		j.mu.Lock()
+		if j.terminal || j.replicaID != from {
+			// The job finished on its old replica (or moved) while this
+			// placement was in flight. Repointing it now would turn a
+			// terminal job live again, and no refresh revisits terminal
+			// jobs; the placed copy is duplicate work, as under a partition.
+			j.mu.Unlock()
+			return
+		}
 		j.replicaID, j.remoteID = rep.id, st.ID
 		j.last, j.haveLast = st, true
 		j.handoffs++

@@ -27,10 +27,6 @@ const (
 	// planned cold on a fallback replica instead of warm-starting
 	// (home_suspect 0/1 in V).
 	EventDeltaFallback = "delta_fallback"
-	// EventZooRouted records a submission the shared policy zoo could
-	// answer: it short-circuited shard routing and was spread round-robin
-	// across alive replicas instead of hashing onto the ring.
-	EventZooRouted = "zoo_routed"
 )
 
 // metrics bundles the nptsn_fleet_* instrument handles. A nil *metrics is
@@ -49,7 +45,6 @@ type metrics struct {
 	hedged     *obsv.Counter
 	deltas     *obsv.Counter
 	deltaFall  *obsv.Counter
-	zooRouted  *obsv.Counter
 	heartbeats *obsv.Counter
 	registered *obsv.Counter
 	eventErrs  *obsv.Counter
@@ -72,7 +67,6 @@ func newMetrics(reg *obsv.Registry) *metrics {
 		hedged:     reg.Counter("nptsn_fleet_hedged_routes_total", "Submissions routed around a suspect (not yet dead) home shard."),
 		deltas:     reg.Counter("nptsn_fleet_delta_jobs_total", "Delta submissions placed by the coordinator (routed to the base fingerprint's home shard)."),
 		deltaFall:  reg.Counter("nptsn_fleet_delta_fallbacks_total", "Delta submissions placed off the base's home shard; they planned cold instead of warm-starting."),
-		zooRouted:  reg.Counter("nptsn_fleet_zoo_routed_total", "Zoo-eligible submissions that short-circuited shard routing and spread round-robin across alive replicas."),
 		heartbeats: reg.Counter("nptsn_fleet_heartbeats_total", "Heartbeats received from replicas."),
 		registered: reg.Counter("nptsn_fleet_registrations_total", "Replica registrations (first contact and rejoins)."),
 		eventErrs:  reg.Counter("nptsn_fleet_event_errors_total", "Lifecycle events the sink failed to record."),
@@ -104,7 +98,6 @@ func (m *metrics) incHedged()    { m.inc(func(m *metrics) *obsv.Counter { return
 
 func (m *metrics) incDelta()         { m.inc(func(m *metrics) *obsv.Counter { return m.deltas }) }
 func (m *metrics) incDeltaFallback() { m.inc(func(m *metrics) *obsv.Counter { return m.deltaFall }) }
-func (m *metrics) incZooRouted()     { m.inc(func(m *metrics) *obsv.Counter { return m.zooRouted }) }
 
 func boolTo01(b bool) float64 {
 	if b {

@@ -351,7 +351,10 @@ func TestChaosENOSPCPersistKeepsServing(t *testing.T) {
 			t.Log(in.String())
 			dir := t.TempDir()
 			sink := &memSink{}
-			m := newTestManager(t, Options{Dir: dir, Events: sink, Fault: in})
+			reg := obsv.NewRegistry()
+			storeErrs := reg.Counter("nptsn_service_store_errors_total", "")
+			eventErrs := reg.Counter("nptsn_service_event_errors_total", "")
+			m := newTestManager(t, Options{Dir: dir, Events: sink, Fault: in, Metrics: reg})
 			st, err := m.Submit(seededRequest(t, seed))
 			if err != nil {
 				t.Fatal(err)
@@ -365,12 +368,18 @@ func TestChaosENOSPCPersistKeepsServing(t *testing.T) {
 			if _, err := os.Stat(recordFile(dir, st.ID)); !os.IsNotExist(err) {
 				t.Fatal("a record landed despite every write failing")
 			}
-			ev, ok := sink.first("store_error")
+			ev, ok := sink.first(EventStoreError)
 			if !ok {
 				t.Fatal("store failures were swallowed silently")
 			}
 			if !strings.Contains(ev.Msg, "no space left") && !strings.Contains(ev.Msg, "ENOSPC") {
 				t.Fatalf("store_error %q does not surface ENOSPC", ev.Msg)
+			}
+			if storeErrs.Value() == 0 {
+				t.Fatal("store failures not counted on nptsn_service_store_errors_total")
+			}
+			if got := eventErrs.Value(); got != 0 {
+				t.Fatalf("nptsn_service_event_errors_total = %v for store failures, want 0 (the sink never failed)", got)
 			}
 		})
 	}

@@ -206,3 +206,38 @@ func TestDeleteThenResubmitServesCachedResult(t *testing.T) {
 		t.Fatalf("empty delta against reseeded spec registry: %+v", del)
 	}
 }
+
+// TestDeltaFingerprintIndependentOfBaseSpec pins the base-resolution rule
+// on a delta that carries its base spec inline while leaving Params unset:
+// the request is self-contained, so Fingerprint (the fleet's dedup and
+// adoption key), a manager holding the base spec (the home replica) and
+// one that never saw the base (a fallback replica) all agree on one
+// fingerprint instead of the home replica inheriting the base's knobs.
+func TestDeltaFingerprintIndependentOfBaseSpec(t *testing.T) {
+	// Short job deadlines: only the fingerprints matter here, and the delta
+	// runs at the default (large) training budget.
+	opt := Options{DefaultTimeout: 10 * time.Millisecond}
+	home := newTestManager(t, opt)
+	base, err := home.Submit(tinyRequest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := Request{Base: base.Fingerprint, Problem: tinyProblemJSON(t)}
+
+	want, err := Fingerprint(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == base.Fingerprint {
+		t.Fatal("the default-Params delta shares the base's fingerprint; the fixture no longer tells the rules apart")
+	}
+	for name, m := range map[string]*Manager{"with base spec": home, "without base spec": newTestManager(t, opt)} {
+		st, err := m.Submit(delta)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.Fingerprint != want {
+			t.Fatalf("manager %s fingerprints the delta %s, Fingerprint says %s", name, st.Fingerprint, want)
+		}
+	}
+}

@@ -154,12 +154,14 @@ func (n normalizedParams) config() core.Config {
 // Request is the body of POST /v1/jobs: a problem spec in the same JSON
 // form the CLIs exchange, planning knobs, and the certification switch.
 //
-// Incremental re-planning: instead of (or alongside) an inline Problem, a
-// request may reference a prior job via Base and describe the change via
-// Delta. The server resolves the base spec (from its job store, or the
-// inline Problem when both are present — then Problem is the BASE spec,
-// not the derived one), applies the delta, and warm-starts planning from
-// the base plan when it is still in the plan cache.
+// Incremental re-planning: a request may reference a prior job via Base
+// and describe the change via Delta. A delta request that also carries an
+// inline Problem is self-contained — Problem is the BASE spec, and the
+// request's own Params and certify switches apply. Without one, the
+// server resolves the base spec from its job store and inherits its knobs
+// (see ResolveBase). Either way the delta is applied to the base spec, and
+// planning warm-starts from the base plan when it is still in the plan
+// cache.
 type Request struct {
 	Problem serialize.ProblemJSON `json:"problem,omitempty"`
 	// Base references the job whose spec (and cached plan) this request
@@ -189,6 +191,35 @@ func (r Request) HasInlineProblem() bool {
 	return len(r.Problem.Connections.Vertices) > 0
 }
 
+// ResolveBase fills in the base spec of a delta request that references
+// its base without carrying it inline, from base — the registered
+// self-contained request of the base job (nil when the caller knows none).
+// The Problem becomes the base's, and the request inherits the base's
+// Params when it leaves them unset and its certify switches when it does
+// not certify itself, so an empty delta reproduces the base job's
+// fingerprint exactly. A request with an inline Problem is self-contained
+// and returned unchanged, as is a non-delta request: which server (or
+// coordinator) resolves a request never changes what it plans.
+func ResolveBase(req Request, base *Request) (Request, error) {
+	if !req.IsDelta() || req.HasInlineProblem() {
+		return req, nil
+	}
+	if base == nil {
+		return Request{}, fmt.Errorf("%w: %q has no spec here and the request has no inline base problem", ErrBaseNotFound, req.Base)
+	}
+	req.Problem = base.Problem
+	if req.Params == (PlanParams{}) {
+		req.Params = base.Params
+	}
+	if !req.Certify && base.Certify {
+		req.Certify = true
+		if req.CertifySamples == 0 {
+			req.CertifySamples = base.CertifySamples
+		}
+	}
+	return req, nil
+}
+
 // Derive resolves a delta request into the self-contained request the
 // planner actually runs, given the base problem spec: the delta is applied
 // to baseProblem, and Base/Delta are cleared. Params and the certify
@@ -207,7 +238,7 @@ func (r Request) Derive(baseProblem serialize.ProblemJSON) (Request, error) {
 	}
 	derived, err := serialize.ApplyDelta(baseProblem, *r.Delta)
 	if err != nil {
-		return Request{}, err
+		return Request{}, fmt.Errorf("delta: %w", err)
 	}
 	out.Problem = derived
 	return out, nil
@@ -277,7 +308,11 @@ type Result struct {
 	Interrupted  bool                    `json:"interrupted,omitempty"`
 	Solution     *serialize.SolutionJSON `json:"solution,omitempty"`
 	Certificate  *certify.Certificate    `json:"certificate,omitempty"`
-	RunSeconds   float64                 `json:"runSeconds"`
+	// RunSeconds is the wall time of the attempt that produced the plan,
+	// from its start to the end of the accept gate — verification and
+	// certification included, for every provenance. Queue wait and
+	// earlier rejected attempts are not part of it.
+	RunSeconds float64 `json:"runSeconds"`
 	// Provenance records how the plan was computed ("zoo", "warm",
 	// "trained"); plan-cache re-serves preserve it verbatim, so a client
 	// can always attribute the plan's origin.
@@ -306,6 +341,11 @@ type job struct {
 	// base plan decoded against the derived problem (nil = plan cold).
 	base string
 	warm *core.Solution
+
+	// persistMu serializes the job's record writes, snapshot through
+	// rename, so a slow write of an older state (Submit journaling
+	// "queued") cannot land after a newer one (the worker's "running").
+	persistMu sync.Mutex
 
 	mu              sync.Mutex
 	state           State
@@ -390,6 +430,13 @@ func (j *job) noteAttempt(stage string) {
 	j.mu.Unlock()
 }
 
+// beat bumps the job's liveness heartbeat.
+func (j *job) beat() {
+	j.mu.Lock()
+	j.lastBeat = time.Now()
+	j.mu.Unlock()
+}
+
 // setProvenance records where the job's answer came from.
 func (j *job) setProvenance(p string) {
 	j.mu.Lock()
@@ -454,15 +501,12 @@ func prepare(req Request) (prepared, error) {
 // the same derived problem answer the same question, and an empty delta
 // must land on the base's own cache entry.
 func Fingerprint(req Request) (string, error) {
-	if req.IsDelta() {
-		if !req.HasInlineProblem() {
-			return "", fmt.Errorf("delta request has no inline base problem; only the serving manager can resolve base %q", req.Base)
-		}
-		derived, err := req.Derive(req.Problem)
-		if err != nil {
-			return "", fmt.Errorf("delta: %w", err)
-		}
-		req = derived
+	req, err := ResolveBase(req, nil)
+	if err != nil {
+		return "", err
+	}
+	if req, err = req.Derive(req.Problem); err != nil {
+		return "", err
 	}
 	prep, err := prepare(req)
 	if err != nil {

@@ -453,14 +453,9 @@ func (m *Manager) registerSpecLocked(fp string, req *Request) {
 //
 // Base resolution: a 16-hex value names a job on this server (whose
 // fingerprint is then used), a 32-hex value is a plan-cache fingerprint
-// directly. The base spec comes from the spec registry; a request that
-// also carries an inline Problem uses it as the base spec when the server
-// has none — that is what lets a fleet replica that never saw the base job
-// still plan the delta (cold) instead of failing it.
-//
-// The delta request inherits the base spec's Params (and certify switches)
-// when it leaves them unset, so an empty delta reproduces the base job's
-// fingerprint exactly and is answered from its cache entry.
+// directly. ResolveBase supplies the base spec: the request's inline
+// Problem when it carries one — what lets a fleet replica that never saw
+// the base job still plan the delta (cold) — else the spec registry's.
 func (m *Manager) resolveDelta(req Request) (Request, string, *serialize.SolutionJSON, error) {
 	fp := req.Base
 	switch len(req.Base) {
@@ -480,37 +475,15 @@ func (m *Manager) resolveDelta(req Request) (Request, string, *serialize.Solutio
 	}
 
 	m.mu.Lock()
-	var spec *Request
-	var cached *Result
-	if fp != "" {
-		spec = m.specs[fp]
-		cached = m.cache[fp]
-	}
+	spec, cached := m.specs[fp], m.cache[fp]
 	m.mu.Unlock()
-
-	var baseProblem serialize.ProblemJSON
-	switch {
-	case spec != nil:
-		baseProblem = spec.Problem
-	case req.HasInlineProblem():
-		baseProblem = req.Problem
-	default:
-		return Request{}, "", nil, fmt.Errorf("%w: fingerprint %s has no spec on this server and the request has no inline base problem", ErrBaseNotFound, fp)
-	}
-	if spec != nil {
-		if req.Params == (PlanParams{}) {
-			req.Params = spec.Params
-		}
-		if !req.Certify && spec.Certify {
-			req.Certify = true
-			if req.CertifySamples == 0 {
-				req.CertifySamples = spec.CertifySamples
-			}
-		}
-	}
-	derived, err := req.Derive(baseProblem)
+	req, err := ResolveBase(req, spec)
 	if err != nil {
-		return Request{}, "", nil, fmt.Errorf("delta: %w", err)
+		return Request{}, "", nil, err
+	}
+	derived, err := req.Derive(req.Problem)
+	if err != nil {
+		return Request{}, "", nil, err
 	}
 	m.met.incDelta()
 	var warmSol *serialize.SolutionJSON
@@ -749,6 +722,10 @@ func (m *Manager) runJob(j *job) {
 
 	res, errMsg := m.planSafe(ctx, j)
 
+	// m.mu is held across the terminal transition (lock order m.mu → j.mu)
+	// so the plan cache learns a done result before anyone can see the job
+	// finish: a client that re-submits on seeing "done" must hit it.
+	m.mu.Lock()
 	j.mu.Lock()
 	j.cancel = nil
 	j.finished = time.Now().UTC()
@@ -773,10 +750,16 @@ func (m *Manager) runJob(j *job) {
 	default:
 		j.state = StateDone
 		j.result = res
+		// Only deterministic outcomes enter the cache: an interrupted run
+		// (deadline, drain) could complete differently given more time.
+		if res != nil && !res.Interrupted {
+			m.cache[j.fingerprint] = res
+		}
 	}
 	state := j.state
 	close(j.terminal)
 	j.mu.Unlock()
+	m.mu.Unlock()
 
 	m.met.observeRun(run)
 	m.noteRun(run)
@@ -787,13 +770,6 @@ func (m *Manager) runJob(j *job) {
 		ev.Type = EventDone
 		if res != nil && res.Solution != nil {
 			ev.V["cost"] = res.Cost
-		}
-		// Only deterministic outcomes enter the cache: an interrupted run
-		// (deadline, drain) could complete differently given more time.
-		if res != nil && !res.Interrupted {
-			m.mu.Lock()
-			m.cache[j.fingerprint] = res
-			m.mu.Unlock()
 		}
 	case StateCancelled:
 		m.met.incCancelled()
@@ -836,21 +812,102 @@ func (m *Manager) planSafe(ctx context.Context, j *job) (res *Result, errMsg str
 	return m.plan(ctx, j)
 }
 
-// plan runs the planner (and optionally the certifier) for one job,
-// returning the result and an error message ("" on success).
+// plan answers one job, returning the result and an error message ("" on
+// success).
 //
 // The attempt chain is zoo → warm → cold: a zoo-armed manager first tries
 // an inference-only rollout of the nearest pretrained policy (certified
 // plan with zero training epochs on success); a miss or a rejected
 // candidate falls through to training, warm-started when the job carries a
-// base plan.
+// base plan. Every candidate plan, whichever attempt produced it, passes
+// the same accept gate.
 func (m *Manager) plan(ctx context.Context, j *job) (*Result, string) {
 	if m.opt.Zoo != nil {
-		if res, ok := m.zooAttempt(ctx, j); ok {
+		if res := m.tryZoo(ctx, j); res != nil {
 			return res, ""
 		}
 	}
+	c, err := m.train(ctx, j)
+	if err != nil {
+		return nil, err.Error()
+	}
+	res, err := m.accept(ctx, j, c, j.certify && !c.interrupted)
+	if err != nil {
+		return res, err.Error()
+	}
+	return res, ""
+}
+
+// candidate is one attempt's plan on its way to the accept gate.
+type candidate struct {
+	sol         *core.Solution // nil when the attempt found no plan
+	epochs      int
+	interrupted bool
+	provenance  string
+	// start is when the producing attempt began; Result.RunSeconds runs
+	// from here to the end of accept.
+	start time.Time
+}
+
+// accept is the gate every served plan passes: verification of the
+// candidate against the job's problem, then — when audit is set — the
+// independent certification audit, whose failure rejects the plan. It
+// returns the result built so far even on rejection, so a failed job
+// keeps what its attempt produced.
+func (m *Manager) accept(ctx context.Context, j *job, c candidate, audit bool) (res *Result, err error) {
+	res = &Result{
+		JobID:        j.id,
+		Fingerprint:  j.fingerprint,
+		GuaranteeMet: c.sol != nil,
+		Epochs:       c.epochs,
+		Interrupted:  c.interrupted,
+		Provenance:   c.provenance,
+	}
+	defer func() { res.RunSeconds = time.Since(c.start).Seconds() }()
+	if c.sol == nil {
+		return res, nil
+	}
+	// Verification runs on a fresh context: the job's deadline bounds
+	// planning, and an interrupted run's best-so-far plan must still be
+	// checked (and served) rather than failed on the expired context.
+	if err := core.VerifySolutionContext(context.Background(), j.prob, c.sol); err != nil {
+		return res, fmt.Errorf("solution failed verification: %v", err)
+	}
+	sol := serialize.EncodeSolution(c.sol)
+	res.Solution = &sol
+	res.Cost = c.sol.Cost
+	if !audit {
+		return res, nil
+	}
+	// One beat before the audit: certification emits no epoch progress,
+	// so this marks the start of its watchdog allowance.
+	j.beat()
+	cert, err := (&certify.Certifier{
+		Prob: j.prob,
+		Sol:  c.sol,
+		Opt: certify.Options{
+			Samples:         j.certSamples,
+			Seed:            j.cfg.Seed,
+			AnalyzerWorkers: j.cfg.AnalyzerWorkers,
+		},
+	}).Certify(ctx)
+	if err != nil {
+		return res, fmt.Errorf("certification audit: %v", err)
+	}
+	res.Certificate = cert
+	if !cert.OK() {
+		return res, errors.New("solution failed independent certification")
+	}
+	return res, nil
+}
+
+// train is the training attempt: the planner runs warm-started from the
+// job's base plan when it has one, cold otherwise, and its best plan
+// becomes the candidate.
+func (m *Manager) train(ctx context.Context, j *job) (candidate, error) {
+	c := candidate{provenance: ProvenanceTrained, start: time.Now()}
 	if j.warm != nil {
+		c.provenance = ProvenanceWarm
 		j.noteAttempt("warm")
 	} else {
 		j.noteAttempt("cold")
@@ -908,63 +965,15 @@ func (m *Manager) plan(ctx context.Context, j *job) (*Result, string) {
 	}
 	planner, err := core.NewPlanner(j.prob, cfg)
 	if err != nil {
-		return nil, err.Error() // unreachable: Submit dry-ran the constructor
+		return c, err // unreachable: Submit dry-ran the constructor
 	}
-	start := time.Now()
 	report, err := planner.PlanContext(ctx)
 	if err != nil {
-		return nil, err.Error()
+		return c, err
 	}
-	prov := ProvenanceTrained
-	if j.warm != nil {
-		prov = ProvenanceWarm
-	}
-	j.setProvenance(prov)
-	res := &Result{
-		JobID:        j.id,
-		Fingerprint:  j.fingerprint,
-		GuaranteeMet: report.GuaranteeMet(),
-		Epochs:       len(report.Epochs),
-		Interrupted:  report.Interrupted,
-		RunSeconds:   time.Since(start).Seconds(),
-		Provenance:   prov,
-	}
-	if report.Best != nil {
-		// Verification runs on a fresh context: the job's deadline bounds
-		// planning, and an interrupted run's best-so-far plan must still be
-		// checked (and served) rather than failed on the expired context.
-		if err := core.VerifySolutionContext(context.Background(), j.prob, report.Best); err != nil {
-			return res, fmt.Sprintf("solution failed verification: %v", err)
-		}
-		sol := serialize.EncodeSolution(report.Best)
-		res.Solution = &sol
-		res.Cost = report.Best.Cost
-	}
-	if j.certify && report.Best != nil && !report.Interrupted {
-		// One beat before the audit: certification emits no epoch progress,
-		// so this marks the start of its watchdog allowance.
-		j.mu.Lock()
-		j.lastBeat = time.Now()
-		j.mu.Unlock()
-		c := &certify.Certifier{
-			Prob: j.prob,
-			Sol:  report.Best,
-			Opt: certify.Options{
-				Samples:         j.certSamples,
-				Seed:            j.cfg.Seed,
-				AnalyzerWorkers: j.cfg.AnalyzerWorkers,
-			},
-		}
-		cert, err := c.Certify(ctx)
-		if err != nil {
-			return res, fmt.Sprintf("certification audit: %v", err)
-		}
-		res.Certificate = cert
-		if !cert.OK() {
-			return res, "solution failed independent certification"
-		}
-	}
-	return res, ""
+	j.setProvenance(c.provenance)
+	c.sol, c.epochs, c.interrupted = report.Best, len(report.Epochs), report.Interrupted
+	return c, nil
 }
 
 // zooRolloutStreams is how many independent greedy attempts a zoo rollout
@@ -972,37 +981,29 @@ func (m *Manager) plan(ctx context.Context, j *job) (*Result, string) {
 // next to a single training epoch.
 const zooRolloutStreams = 4
 
-// zooAttempt tries to answer the job from the policy zoo: nearest
-// geometry-compatible policy by feature distance, greedy inference-only
-// rollout, then the accept gate — plan verification plus the full
-// certification audit, run unconditionally (a transferred policy's plan
-// is never trusted on the planner's own say-so, certify switch or not).
-// Returns (result, true) only for a certified plan; every other outcome
-// is recorded (miss or reject) and falls back to training.
-func (m *Manager) zooAttempt(ctx context.Context, j *job) (*Result, bool) {
+// tryZoo is the zoo attempt: the nearest geometry-compatible policy by
+// feature distance is rolled out greedily, inference only, and its plan
+// goes through the accept gate with the certification audit mandatory (a
+// transferred policy's plan is never trusted on the planner's own say-so,
+// certify switch or not). It returns the result only for an accepted
+// plan; every other outcome is recorded (miss or reject) and returns nil,
+// falling back to training.
+func (m *Manager) tryZoo(ctx context.Context, j *job) *Result {
 	geo, err := zoo.GeometryOf(j.prob, j.cfg)
 	if err != nil {
 		// A problem the SOAG rejects would have failed prepare already;
 		// treat it as a miss rather than failing the job here.
 		m.met.incZooMiss()
-		return nil, false
+		return nil
 	}
 	match, ok := m.opt.Zoo.Lookup(geo, zoo.FeaturesOf(j.prob))
 	if !ok {
 		m.met.incZooMiss()
 		m.emit(obsv.Event{Type: EventZooMiss, Msg: j.id})
-		return nil, false
+		return nil
 	}
 	j.noteAttempt("zoo")
-	start := time.Now()
-	reject := func(reason string) (*Result, bool) {
-		m.met.incZooReject()
-		m.met.observeZoo(time.Since(start))
-		m.emit(obsv.Event{Type: EventZooReject, Msg: j.id + ": " + reason,
-			V: map[string]float64{"distance": match.Distance}})
-		return nil, false
-	}
-
+	c := candidate{provenance: ProvenanceZoo, start: time.Now()}
 	cfg := j.cfg
 	if m.verdicts != nil {
 		cfg.SharedAnalyzerCache = m.verdicts
@@ -1012,66 +1013,39 @@ func (m *Manager) zooAttempt(ctx context.Context, j *job) (*Result, bool) {
 		Workers: cfg.Workers,
 	})
 	m.met.addZooSteps(stats.EnvSteps)
+	var res *Result
+	switch {
+	case err != nil:
+		err = fmt.Errorf("rollout: %v", err)
+	case sol == nil:
+		err = errors.New("no stream solved within the rollout budget")
+	default:
+		if m.testZooTamper != nil {
+			m.testZooTamper(sol)
+		}
+		c.sol = sol
+		res, err = m.accept(ctx, j, c, true)
+	}
+	m.met.observeZoo(time.Since(c.start))
 	if err != nil {
-		return reject("rollout: " + err.Error())
-	}
-	if sol == nil {
-		return reject("no stream solved within the rollout budget")
-	}
-	if m.testZooTamper != nil {
-		m.testZooTamper(sol)
-	}
-	if err := core.VerifySolutionContext(context.Background(), j.prob, sol); err != nil {
-		return reject("verification: " + err.Error())
-	}
-	// One beat before the audit, as in the training path: certification
-	// emits no epoch progress.
-	j.mu.Lock()
-	j.lastBeat = time.Now()
-	j.mu.Unlock()
-	c := &certify.Certifier{
-		Prob: j.prob,
-		Sol:  sol,
-		Opt: certify.Options{
-			Samples:         j.certSamples,
-			Seed:            j.cfg.Seed,
-			AnalyzerWorkers: j.cfg.AnalyzerWorkers,
-		},
-	}
-	cert, err := c.Certify(ctx)
-	if err != nil {
-		return reject("certification audit: " + err.Error())
-	}
-	if !cert.OK() {
-		return reject("candidate plan failed independent certification")
-	}
-
-	j.setProvenance(ProvenanceZoo)
-	encoded := serialize.EncodeSolution(sol)
-	res := &Result{
-		JobID:        j.id,
-		Fingerprint:  j.fingerprint,
-		GuaranteeMet: true,
-		Cost:         sol.Cost,
-		Epochs:       0,
-		Solution:     &encoded,
-		Certificate:  cert,
-		RunSeconds:   time.Since(start).Seconds(),
-		Provenance:   ProvenanceZoo,
+		m.met.incZooReject()
+		m.emit(obsv.Event{Type: EventZooReject, Msg: j.id + ": " + err.Error(),
+			V: map[string]float64{"distance": match.Distance}})
+		return nil
 	}
 	j.mu.Lock()
+	j.provenance = ProvenanceZoo
 	j.progress.BestCost = sol.Cost
 	j.progress.GuaranteeMet = true
 	j.progress.Solutions = stats.Solved
 	j.mu.Unlock()
 	m.met.incZooHit()
-	m.met.observeZoo(time.Since(start))
 	m.emit(obsv.Event{Type: EventZooHit, Msg: j.id + " " + match.Entry.ID, V: map[string]float64{
 		"env_steps": float64(stats.EnvSteps),
 		"distance":  match.Distance,
-		"seconds":   time.Since(start).Seconds(),
+		"seconds":   res.RunSeconds,
 	}})
-	return res, true
+	return res
 }
 
 // ReloadZoo re-reads the zoo directory from disk — the SIGHUP/boot path
@@ -1115,9 +1089,7 @@ func (m *Manager) beatWhile(j *job) func() {
 			case <-stop:
 				return
 			case <-t.C:
-				j.mu.Lock()
-				j.lastBeat = time.Now()
-				j.mu.Unlock()
+				j.beat()
 			}
 		}
 	}()
@@ -1140,6 +1112,8 @@ func (m *Manager) persist(j *job) {
 	if m.opt.Dir == "" {
 		return
 	}
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
 	rec := record{Status: j.status(), Attempts: j.attempts}
 	j.mu.Lock()
 	rec.Result = j.result
@@ -1150,8 +1124,8 @@ func (m *Manager) persist(j *job) {
 		rec.Request = j.req
 	}
 	if err := saveRecord(m.opt.Dir, rec, m.fsFaults()); err != nil {
-		m.met.incEventErr()
-		m.emit(obsv.Event{Type: "store_error", Msg: err.Error()})
+		m.met.incStoreErr()
+		m.emit(obsv.Event{Type: EventStoreError, Msg: err.Error()})
 	}
 }
 

@@ -38,6 +38,10 @@ const (
 	// EventStoreCorrupt records record files quarantined into corrupt/ at
 	// boot; Msg lists "file: reason" per quarantined file.
 	EventStoreCorrupt = "store_corrupt"
+	// EventStoreError records a job record the store failed to write (disk
+	// full, injected fault); Msg carries the error. The job itself goes on
+	// in memory.
+	EventStoreError = "store_error"
 	// EventWarmStart records a delta job whose planner actually seeded from
 	// the base plan (seeded/dropped link counts and seed_solved in V).
 	EventWarmStart = "job_warm_start"
@@ -74,6 +78,7 @@ type metrics struct {
 	cacheHits  *obsv.Counter
 	cacheMiss  *obsv.Counter
 	eventErrs  *obsv.Counter
+	storeErrs  *obsv.Counter
 	skipped    *obsv.Counter
 	panics     *obsv.Counter
 	stalled    *obsv.Counter
@@ -108,6 +113,7 @@ func newMetrics(reg *obsv.Registry) *metrics {
 		cacheHits:  reg.Counter("nptsn_service_cache_hits_total", "Submissions answered instantly from the plan cache."),
 		cacheMiss:  reg.Counter("nptsn_service_cache_misses_total", "Submissions that required a fresh planning run."),
 		eventErrs:  reg.Counter("nptsn_service_event_errors_total", "Lifecycle events the sink failed to record."),
+		storeErrs:  reg.Counter("nptsn_service_store_errors_total", "Job-record writes the store failed (disk full, I/O errors); the job went on in memory."),
 		skipped:    reg.Counter("nptsn_service_records_skipped_total", "Job-record files quarantined into corrupt/ at boot (torn writes, bad checksums, foreign files)."),
 		panics:     reg.Counter("nptsn_service_job_panics_total", "Planning runs that panicked; each was contained to its own job."),
 		stalled:    reg.Counter("nptsn_service_jobs_stalled_total", "Running jobs the watchdog interrupted for missing progress heartbeats."),
@@ -162,6 +168,7 @@ func (m *metrics) incRejected()  { m.safeInc(func() *obsv.Counter { return m.rej
 func (m *metrics) incCacheHit()  { m.safeInc(func() *obsv.Counter { return m.cacheHits }) }
 func (m *metrics) incCacheMiss() { m.safeInc(func() *obsv.Counter { return m.cacheMiss }) }
 func (m *metrics) incEventErr()  { m.safeInc(func() *obsv.Counter { return m.eventErrs }) }
+func (m *metrics) incStoreErr()  { m.safeInc(func() *obsv.Counter { return m.storeErrs }) }
 func (m *metrics) incPanic()     { m.safeInc(func() *obsv.Counter { return m.panics }) }
 func (m *metrics) incStalled()   { m.safeInc(func() *obsv.Counter { return m.stalled }) }
 func (m *metrics) incRequeued()  { m.safeInc(func() *obsv.Counter { return m.requeued }) }

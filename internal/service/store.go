@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -10,17 +8,17 @@ import (
 	"regexp"
 	"sort"
 
-	"repro/internal/failure"
 	"repro/internal/serialize"
 )
 
-// recordVersion is the current on-disk job-record format: a checksummed
-// envelope framing the record payload, so a torn write (rename landed,
-// content truncated) is detected at load time instead of being misread.
-// Version-1 records — raw, unchecksummed, terminal-only — are still read.
+// Records are framed in the shared checksummed serialize.Envelope, so a
+// torn write (rename landed, content truncated) is detected at load time
+// instead of being misread. recordDomain and recordVersion are the digest
+// domain and format version of that frame; together they keep the files
+// byte-compatible with those written before records moved onto it.
 const (
-	recordVersion       = 2
-	legacyRecordVersion = 1
+	recordDomain  = "nptsn-service-record-v2"
+	recordVersion = 2
 )
 
 // corruptDirName is the quarantine subdirectory of the data dir. Files
@@ -44,30 +42,6 @@ type record struct {
 	Attempts int `json:"attempts,omitempty"`
 }
 
-// envelope is the version-2 on-disk frame: the JSON-encoded record plus a
-// content digest over those exact bytes.
-type envelope struct {
-	Version int             `json:"version"`
-	Sum     string          `json:"sum"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// legacyRecord is the version-1 frame: record fields inline, no checksum.
-type legacyRecord struct {
-	Version int     `json:"version"`
-	Status  Status  `json:"status"`
-	Result  *Result `json:"result,omitempty"`
-}
-
-// recordSum digests a record payload with the same 128-bit content hash
-// the plan cache keys on, under a format-versioned domain prefix.
-func recordSum(payload []byte) string {
-	d := failure.NewDigest()
-	d.Str("nptsn-service-record-v2")
-	d.Bytes(payload)
-	return d.Sum()
-}
-
 // recordFile is the job's file name inside the data directory. Job IDs
 // are 16 hex digits (newJobID), so the name never needs escaping.
 func recordFile(dir, id string) string {
@@ -79,13 +53,8 @@ var recordNameRE = regexp.MustCompile(`^job-[0-9a-f]{16}\.json$`)
 // saveRecord atomically persists one job under a checksummed envelope.
 // faults is the filesystem fault-injection seam (nil in production).
 func saveRecord(dir string, rec record, faults serialize.FSFaults) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	env := envelope{Version: recordVersion, Sum: recordSum(payload), Payload: payload}
 	return serialize.WriteFileAtomicFS(recordFile(dir, rec.Status.ID), faults, func(w io.Writer) error {
-		return serialize.WriteJSON(w, env)
+		return serialize.WriteEnvelope(w, recordDomain, recordVersion, rec)
 	})
 }
 
@@ -99,43 +68,14 @@ func deleteRecord(dir, id string) error {
 	return err
 }
 
-// decodeRecord parses one record file, current or legacy format. Every
-// failure mode returns an error naming what was wrong — the reason ends up
-// in the boot event next to the quarantined file.
+// decodeRecord parses one record file. Every failure mode returns an
+// error naming what was wrong — the reason ends up in the boot event next
+// to the quarantined file. Files of any other format version, the
+// unchecksummed version-1 records included, are rejected.
 func decodeRecord(data []byte) (record, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return record{}, fmt.Errorf("not a record envelope: %v", err)
-	}
 	var rec record
-	switch env.Version {
-	case recordVersion:
-		// The envelope is written indented, which re-formats the embedded
-		// payload; the checksum is defined over the compact form, so
-		// re-compact before summing. A truncation that somehow kept the
-		// JSON well-formed still changes the compact bytes.
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, env.Payload); err != nil {
-			return record{}, fmt.Errorf("record payload: %v", err)
-		}
-		if got := recordSum(compact.Bytes()); got != env.Sum {
-			return record{}, fmt.Errorf("checksum mismatch (stored %s, computed %s): torn write or manual edit", env.Sum, got)
-		}
-		if err := json.Unmarshal(env.Payload, &rec); err != nil {
-			return record{}, fmt.Errorf("record payload: %v", err)
-		}
-	case legacyRecordVersion:
-		var leg legacyRecord
-		if err := json.Unmarshal(data, &leg); err != nil {
-			return record{}, fmt.Errorf("legacy record: %v", err)
-		}
-		rec = record{Status: leg.Status, Result: leg.Result}
-		if !rec.Status.State.Terminal() {
-			return record{}, fmt.Errorf("legacy record in non-terminal state %q", rec.Status.State)
-		}
-	default:
-		return record{}, fmt.Errorf("record version %d, this build reads versions %d and %d",
-			env.Version, legacyRecordVersion, recordVersion)
+	if err := serialize.OpenEnvelope(data, recordDomain, recordVersion, &rec); err != nil {
+		return record{}, err
 	}
 	if rec.Status.ID == "" {
 		return record{}, fmt.Errorf("record without a job ID")

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/serialize"
 )
 
 // goodRecord builds a decodable record for store tests.
@@ -25,6 +27,15 @@ func goodRecord(id string, state State) record {
 	return rec
 }
 
+// legacyV1Record encodes the retired version-1 record frame: status
+// fields inline, no checksum.
+func legacyV1Record(st Status) ([]byte, error) {
+	return json.Marshal(struct {
+		Version int    `json:"version"`
+		Status  Status `json:"status"`
+	}{1, st})
+}
+
 // TestLoadRecordsCorruptionTable drives every on-disk failure mode through
 // loadRecords: each bad file must land in corrupt/ with the boot report
 // naming it, never fail the whole load, and never be silently ignored.
@@ -35,6 +46,16 @@ func TestLoadRecordsCorruptionTable(t *testing.T) {
 	writeGood := func(t *testing.T, dir string, state State) {
 		t.Helper()
 		if err := saveRecord(dir, goodRecord(id, state), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeLegacy := func(t *testing.T, dir string, state State) {
+		t.Helper()
+		data, err := legacyV1Record(goodRecord(id, state).Status)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,18 +75,10 @@ func TestLoadRecordsCorruptionTable(t *testing.T) {
 			loaded: 1,
 		},
 		{
-			name: "valid legacy v1 record loads",
-			write: func(t *testing.T, dir string) {
-				leg := legacyRecord{Version: 1, Status: goodRecord(id, StateDone).Status}
-				data, err := json.Marshal(leg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			loaded: 1,
+			name:       "legacy v1 record is quarantined",
+			write:      func(t *testing.T, dir string) { writeLegacy(t, dir, StateDone) },
+			quarantine: name,
+			reason:     "envelope version 1,",
 		},
 		{
 			name: "truncated record is quarantined",
@@ -82,7 +95,7 @@ func TestLoadRecordsCorruptionTable(t *testing.T) {
 				}
 			},
 			quarantine: name,
-			reason:     "not a record envelope",
+			reason:     "not an envelope",
 		},
 		{
 			name: "checksum mismatch is quarantined",
@@ -109,7 +122,7 @@ func TestLoadRecordsCorruptionTable(t *testing.T) {
 		{
 			name: "future format version is quarantined",
 			write: func(t *testing.T, dir string) {
-				env := envelope{Version: 99, Sum: "00", Payload: json.RawMessage(`{}`)}
+				env := serialize.Envelope{Version: 99, Sum: "00", Payload: json.RawMessage(`{}`)}
 				data, err := json.Marshal(env)
 				if err != nil {
 					t.Fatal(err)
@@ -119,7 +132,7 @@ func TestLoadRecordsCorruptionTable(t *testing.T) {
 				}
 			},
 			quarantine: name,
-			reason:     "record version 99",
+			reason:     "envelope version 99",
 		},
 		{
 			name: "foreign file is quarantined",
@@ -142,19 +155,10 @@ func TestLoadRecordsCorruptionTable(t *testing.T) {
 			reason:     "not a job record",
 		},
 		{
-			name: "legacy record in live state is quarantined",
-			write: func(t *testing.T, dir string) {
-				leg := legacyRecord{Version: 1, Status: goodRecord(id, StateRunning).Status}
-				data, err := json.Marshal(leg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
+			name:       "legacy record in live state is quarantined",
+			write:      func(t *testing.T, dir string) { writeLegacy(t, dir, StateRunning) },
 			quarantine: name,
-			reason:     "non-terminal",
+			reason:     "envelope version 1,",
 		},
 		{
 			name: "live record without its journaled request is quarantined",
@@ -237,4 +241,92 @@ func TestRecordRoundTrip(t *testing.T) {
 		got.Attempts != 2 || got.Request == nil {
 		t.Fatalf("round-tripped record diverged: %+v", got)
 	}
+}
+
+// compatFixture is a done job's record (result, certificate and journaled
+// request) as written by the store before records moved onto the shared
+// serialize.Envelope.
+const compatFixture = "job-c089386cf09867c0.json"
+
+// TestLoadRecordsCompatibilityFixture: data dirs written before the move
+// onto serialize.Envelope keep loading, and a record re-saved today is
+// byte-identical to the committed one.
+func TestLoadRecordsCompatibilityFixture(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", compatFixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, compatFixture), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, quarantined, err := loadRecords(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(quarantined) != 0 || len(recs) != 1 {
+		t.Fatalf("load = %d recs, %v quarantined", len(recs), quarantined)
+	}
+	rec := recs[0]
+	if rec.Status.ID != "c089386cf09867c0" || rec.Status.State != StateDone || rec.Request == nil ||
+		rec.Result == nil || rec.Result.Solution == nil || rec.Result.Certificate == nil || !rec.Result.Certificate.OK() {
+		t.Fatalf("fixture record lost content: %+v", rec)
+	}
+	out := t.TempDir()
+	if err := saveRecord(out, rec, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(recordFile(out, rec.Status.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("re-saved record differs from the fixture:\n%s", got)
+	}
+}
+
+// FuzzDecodeRecord drives untrusted bytes from the data dir through
+// decodeRecord: it must never panic, and every record it accepts must
+// pass the post-decode checks the restart path relies on.
+func FuzzDecodeRecord(f *testing.F) {
+	dir := f.TempDir()
+	const id = "0123456789abcdef"
+	for _, rec := range []record{goodRecord(id, StateDone), goodRecord(id, StateRunning)} {
+		if err := saveRecord(dir, rec, nil); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(recordFile(dir, id))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add([]byte(strings.Replace(string(data), `"version": 2`, `"version": 3`, 1)))
+	}
+	legacy, err := legacyV1Record(goodRecord(id, StateDone).Status)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
+	if fixture, err := os.ReadFile(filepath.Join("testdata", compatFixture)); err == nil {
+		f.Add(fixture)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := decodeRecord(data)
+		if err != nil {
+			return
+		}
+		if rec.Status.ID == "" {
+			t.Fatal("accepted a record without a job ID")
+		}
+		switch rec.Status.State {
+		case StateQueued, StateRunning:
+			if rec.Request == nil {
+				t.Fatalf("accepted a live (%s) record without its journaled request", rec.Status.State)
+			}
+		case StateDone, StateFailed, StateCancelled:
+		default:
+			t.Fatalf("accepted unknown state %q", rec.Status.State)
+		}
+	})
 }

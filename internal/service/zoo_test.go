@@ -198,27 +198,34 @@ func TestTrainedProvenanceWithoutZoo(t *testing.T) {
 	}
 }
 
-// TestZooEligible covers the coordinator's routing predicate.
-func TestZooEligible(t *testing.T) {
-	z := pretrainTinyZoo(t)
-	req := tinyRequest(t)
-	if !ZooEligible(z, req) {
-		t.Fatal("matching request reported ineligible")
-	}
-	if ZooEligible(nil, req) {
-		t.Fatal("nil zoo reported eligible")
-	}
-	empty, _, err := zoo.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ZooEligible(empty, req) {
-		t.Fatal("empty zoo reported eligible")
-	}
-	// A different geometry (other K) misses the zoo.
-	other := tinyRequest(t)
-	other.Params.K = 8
-	if ZooEligible(z, other) {
-		t.Fatal("geometry-incompatible request reported eligible")
+// TestRunSecondsCoversAcceptGate pins Result.RunSeconds' one definition:
+// from the start of the producing attempt to the end of the accept gate,
+// so for every provenance it covers the certification audit.
+func TestRunSecondsCoversAcceptGate(t *testing.T) {
+	zooM := newTestManager(t, Options{Zoo: pretrainTinyZoo(t)})
+	trainedM := newTestManager(t, Options{})
+	certified := tinyRequest(t)
+	certified.Certify = true
+	for _, tc := range []struct {
+		m    *Manager
+		want string
+	}{{zooM, ProvenanceZoo}, {trainedM, ProvenanceTrained}} {
+		st, err := tc.m.Submit(certified)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitTerminal(t, tc.m, st.ID); final.State != StateDone {
+			t.Fatalf("%s job = %s (%s)", tc.want, final.State, final.Error)
+		}
+		res, err := tc.m.Result(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Provenance != tc.want || res.Certificate == nil {
+			t.Fatalf("provenance %q with certificate %v, want a certified %q plan", res.Provenance, res.Certificate != nil, tc.want)
+		}
+		if res.RunSeconds*1000 < float64(res.Certificate.WallMillis) {
+			t.Fatalf("%s result: RunSeconds %.4fs ends before its %dms audit", tc.want, res.RunSeconds, res.Certificate.WallMillis)
+		}
 	}
 }
