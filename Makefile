@@ -93,15 +93,15 @@ bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
 # Machine-readable run of the analyzer + scheduler + warm-vs-cold delta +
-# zoo-inference benchmarks. Writes
+# zoo-inference + Table II PPO-update benchmarks. Writes
 # BENCH_<n>.json with the next free index so successive runs are kept
 # side by side for before/after comparison.
 bench-json:
 	@n=0; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
 	out=BENCH_$$n.json; \
 	$(GO) test -run xxx -json \
-		-bench 'BenchmarkFailureAnalysisORION|BenchmarkFailureAnalysisORIONEngine|BenchmarkScheduler|BenchmarkPolicyForward|BenchmarkDeltaColdStart|BenchmarkDeltaWarmStart|BenchmarkZooInference' \
-		-benchmem . > $$out || { cat $$out; rm -f $$out; exit 1; }; \
+		-bench 'BenchmarkFailureAnalysisORION|BenchmarkFailureAnalysisORIONEngine|BenchmarkScheduler|BenchmarkPolicyForward|BenchmarkDeltaColdStart|BenchmarkDeltaWarmStart|BenchmarkZooInference|BenchmarkPPOUpdateORION' \
+		-benchmem . ./internal/core/ > $$out || { cat $$out; rm -f $$out; exit 1; }; \
 	echo "wrote $$out"
 
 # Regenerate the evaluation figures at interactive scale.
@@ -128,6 +128,8 @@ fuzz:
 	$(GO) test ./internal/serialize -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 20s
 	$(GO) test ./internal/zoo -run '^$$' -fuzz FuzzZooManifest -fuzztime 20s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 20s
+	$(GO) test ./internal/serialize -run '^$$' -fuzz FuzzDeltaJSON -fuzztime 20s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzJobRequest -fuzztime 20s
 
 coverage:
 	$(GO) test -cover ./...

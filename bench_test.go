@@ -20,6 +20,8 @@ import (
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/nbf"
+	"repro/internal/nn"
+	"repro/internal/rl"
 	"repro/internal/scenarios"
 	"repro/internal/serialize"
 	"repro/internal/tsn"
@@ -70,7 +72,8 @@ func BenchmarkTableI_LibraryOps(b *testing.B) {
 
 // BenchmarkTableII_PolicyForwardBackward times one policy forward+backward
 // pass of the Table II architecture (GCN-2 + 256x256 MLPs) on an ADS-sized
-// observation — the per-step neural cost of the default configuration.
+// observation, through the update's batch path with a batch of one — the
+// per-step neural cost of the default configuration.
 func BenchmarkTableII_PolicyForwardBackward(b *testing.B) {
 	scen := mustADS(b)
 	prob := scen.Problem(scenarios.ADSFlows(1), &nbf.StatelessRecovery{MaxAlternatives: 3}, 1e-6)
@@ -89,13 +92,13 @@ func BenchmarkTableII_PolicyForwardBackward(b *testing.B) {
 	}
 	state := core.NewTSSDN(prob)
 	set := soag.Generate(state, nbf.Failure{}, []tsn.Pair{{Src: 0, Dst: 6}}, rand.New(rand.NewSource(1)))
-	obs := enc.Encode(state, set)
-	dLogits := make([]float64, soag.ActionSpaceSize())
-	dLogits[0] = 1
+	nets.LoadBatch([]rl.Observation{enc.Encode(state, set)})
+	dLogits := nn.NewMatrix(1, soag.ActionSpaceSize())
+	dLogits.Data[0] = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nets.ForwardPolicy(obs)
-		nets.BackwardPolicy(dLogits)
+		nets.ForwardPolicyBatch()
+		nets.BackwardPolicyBatch(dLogits)
 	}
 }
 

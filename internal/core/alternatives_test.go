@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/nbf"
 	"repro/internal/nn"
+	"repro/internal/rl"
 	"repro/internal/tsn"
 )
 
@@ -136,10 +137,11 @@ func TestGATTrunkForwardBackward(t *testing.T) {
 	loss := func() float64 { return nets.ForwardPolicy(obs)[target] }
 	ps := nets.PolicyParams()
 	nn.ZeroGrads(ps)
-	l := nets.ForwardPolicy(obs)
-	dLogits := make([]float64, len(l))
-	dLogits[target] = 1
-	nets.BackwardPolicy(dLogits)
+	nets.LoadBatch([]rl.Observation{obs})
+	l := nets.ForwardPolicyBatch()
+	dLogits := nn.NewMatrix(1, l.Cols)
+	dLogits.Data[target] = 1
+	nets.BackwardPolicyBatch(dLogits)
 	const eps = 1e-6
 	for pi, p := range ps {
 		for j := 0; j < len(p.Value.Data); j += 13 {

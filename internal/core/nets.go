@@ -10,9 +10,13 @@ import (
 
 // graphTrunk abstracts the shared graph encoder: the GCN of Fig. 3 or the
 // GAT alternative discussed (and rejected for scalability) in §IV-C.
+// Forward evaluates one observation (exploration); the batch methods serve
+// the PPO update.
 type graphTrunk interface {
 	Forward(op, h *nn.Matrix) *nn.Matrix
-	Backward(dY *nn.Matrix) *nn.Matrix
+	SetBatch(ops, feats []*nn.Matrix)
+	ForwardBatch() *nn.Matrix
+	BackwardBatch(dY *nn.Matrix)
 	Params() []nn.Param
 	OutFeatures(in int) int
 	NumLayers() int
@@ -30,7 +34,9 @@ var (
 //
 // Forward passes write into network-owned scratch buffers, so steady-state
 // evaluation allocates nothing. ForwardPolicy's returned slice is borrowed
-// scratch, valid until the next forward call on the same Nets.
+// scratch, valid until the next forward call on the same Nets. The
+// rl.ActorCritic methods evaluate and train on a whole update batch at
+// once (LoadBatch and the Batch forwards/backwards).
 type Nets struct {
 	gcn    graphTrunk
 	useGAT bool
@@ -50,12 +56,11 @@ type Nets struct {
 	// scratch
 	xRow   *nn.Matrix // 1×mlpIn MLP input for single-observation forwards
 	batchX *nn.Matrix // B×mlpIn MLP input for batched forwards
-	dOut   *nn.Matrix // upstream gradient wrapper for BackwardPolicy/Value
-	dEmb   nn.Matrix  // view onto the embedding slice of the input gradient
 
-	// caches for backward passes
-	lastPolicyObs *Obs
-	lastValueObs  *Obs
+	// update batch (LoadBatch), sized on the first update and reused
+	ops, feats []*nn.Matrix // per-observation trunk inputs
+	updX       nn.Matrix    // B×mlpIn MLP input; the parameter columns are set once
+	dEmb       nn.Matrix    // B·n×embedCols embedding gradient
 }
 
 var _ rl.ActorCritic = (*Nets)(nil)
@@ -91,7 +96,6 @@ func NewNets(rng *rand.Rand, enc *Encoder, actionSpace int, cfg Config) (*Nets, 
 		actionSpace: actionSpace,
 		xRow:        nn.NewMatrix(1, mlpIn),
 		batchX:      new(nn.Matrix),
-		dOut:        new(nn.Matrix),
 	}
 	// Parameter lists are fixed for the network's lifetime; caching them
 	// keeps the per-iteration ZeroGrads/ClipGrads/Step calls allocation-
@@ -113,6 +117,15 @@ func (nt *Nets) operator(o *Obs) *nn.Matrix {
 	return o.SHat
 }
 
+// asObs unwraps an rl observation.
+func asObs(obs rl.Observation) *Obs {
+	o, ok := obs.(*Obs)
+	if !ok {
+		panic(fmt.Sprintf("core: unexpected observation type %T", obs))
+	}
+	return o
+}
+
 // embed runs the graph trunk and assembles the MLP input into xRow.
 func (nt *Nets) embed(obs *Obs) *nn.Matrix {
 	emb := nt.gcn.Forward(nt.operator(obs), obs.Feat)
@@ -122,60 +135,87 @@ func (nt *Nets) embed(obs *Obs) *nn.Matrix {
 	return nt.xRow
 }
 
-// backThroughEmbedding splits the MLP input gradient and backpropagates the
-// embedding part through the GCN (the parameter-vector part is constant).
-// dEmb is a read-only reshaped view of dIn's prefix, consumed immediately.
-func (nt *Nets) backThroughEmbedding(dIn *nn.Matrix) {
-	embLen := nt.numVertices * nt.embedCols
-	nt.dEmb.Rows, nt.dEmb.Cols = nt.numVertices, nt.embedCols
-	nt.dEmb.Data = dIn.Data[:embLen]
-	nt.gcn.Backward(&nt.dEmb)
-}
-
-// ForwardPolicy implements rl.ActorCritic. The returned slice is borrowed
-// network scratch: valid until the next forward call, never to be modified
-// or retained by the caller.
+// ForwardPolicy computes the raw (unmasked) action logits of one
+// observation. The returned slice is borrowed network scratch: valid until
+// the next forward call, never to be modified or retained by the caller.
 func (nt *Nets) ForwardPolicy(obs rl.Observation) []float64 {
-	o, ok := obs.(*Obs)
-	if !ok {
-		panic(fmt.Sprintf("core: unexpected observation type %T", obs))
-	}
-	nt.lastPolicyObs = o
-	return nt.actor.Forward(nt.embed(o)).Data
+	return nt.actor.Forward(nt.embed(asObs(obs))).Data
 }
 
-// BackwardPolicy implements rl.ActorCritic.
-func (nt *Nets) BackwardPolicy(dLogits []float64) {
-	if nt.lastPolicyObs == nil {
-		panic("core: policy backward before forward")
+// ForwardValue computes the critic's value estimate of one observation.
+func (nt *Nets) ForwardValue(obs rl.Observation) float64 {
+	return nt.critic.Forward(nt.embed(asObs(obs))).Data[0]
+}
+
+// LoadBatch implements rl.ActorCritic: it hands the observations to the
+// trunk, which computes their constant first-layer products once, and
+// writes each observation's parameter vector into its MLP input row once.
+func (nt *Nets) LoadBatch(obs []rl.Observation) {
+	clear(nt.ops)
+	clear(nt.feats)
+	nt.ops, nt.feats = nt.ops[:0], nt.feats[:0]
+	if len(obs) == 0 {
+		nt.gcn.SetBatch(nil, nil)
+		return
 	}
-	nt.dOut.EnsureShape(1, len(dLogits))
-	copy(nt.dOut.Data, dLogits)
-	nt.backThroughEmbedding(nt.actor.Backward(nt.dOut))
+	embLen := nt.numVertices * nt.embedCols
+	mlpIn := nt.xRow.Cols
+	nt.updX.EnsureShape(len(obs), mlpIn)
+	for i, ob := range obs {
+		o := asObs(ob)
+		nt.ops = append(nt.ops, nt.operator(o))
+		nt.feats = append(nt.feats, o.Feat)
+		copy(nt.updX.Data[i*mlpIn+embLen:(i+1)*mlpIn], o.Params.Data)
+	}
+	nt.gcn.SetBatch(nt.ops, nt.feats)
+}
+
+// batchInput runs the trunk over the loaded batch and fills the embedding
+// columns of the MLP input.
+func (nt *Nets) batchInput() *nn.Matrix {
+	emb := nt.gcn.ForwardBatch()
+	embLen := nt.numVertices * nt.embedCols
+	mlpIn := nt.xRow.Cols
+	for i := 0; i < nt.updX.Rows; i++ {
+		copy(nt.updX.Data[i*mlpIn:i*mlpIn+embLen], emb.Data[i*embLen:(i+1)*embLen])
+	}
+	return &nt.updX
+}
+
+// backThroughTrunk backpropagates the embedding columns of the MLP input
+// gradient through the trunk (the parameter columns are constants).
+func (nt *Nets) backThroughTrunk(dIn *nn.Matrix) {
+	if nt.gcn.NumLayers() == 0 {
+		return
+	}
+	embLen := nt.numVertices * nt.embedCols
+	nt.dEmb.EnsureShape(dIn.Rows*nt.numVertices, nt.embedCols)
+	for i := 0; i < dIn.Rows; i++ {
+		copy(nt.dEmb.Data[i*embLen:(i+1)*embLen], dIn.Data[i*dIn.Cols:i*dIn.Cols+embLen])
+	}
+	nt.gcn.BackwardBatch(&nt.dEmb)
+}
+
+// ForwardPolicyBatch implements rl.ActorCritic: B×ActionSpace() logits,
+// borrowed until the next forward.
+func (nt *Nets) ForwardPolicyBatch() *nn.Matrix { return nt.actor.Forward(nt.batchInput()) }
+
+// BackwardPolicyBatch implements rl.ActorCritic.
+func (nt *Nets) BackwardPolicyBatch(dLogits *nn.Matrix) {
+	nt.backThroughTrunk(nt.actor.Backward(dLogits))
 }
 
 // PolicyParams implements rl.ActorCritic: GCN trunk + actor head. The
 // returned list is cached; callers must treat it as read-only.
 func (nt *Nets) PolicyParams() []nn.Param { return nt.policyParams }
 
-// ForwardValue implements rl.ActorCritic.
-func (nt *Nets) ForwardValue(obs rl.Observation) float64 {
-	o, ok := obs.(*Obs)
-	if !ok {
-		panic(fmt.Sprintf("core: unexpected observation type %T", obs))
-	}
-	nt.lastValueObs = o
-	return nt.critic.Forward(nt.embed(o)).Data[0]
-}
+// ForwardValueBatch implements rl.ActorCritic: B×1 values, borrowed until
+// the next forward.
+func (nt *Nets) ForwardValueBatch() *nn.Matrix { return nt.critic.Forward(nt.batchInput()) }
 
-// BackwardValue implements rl.ActorCritic.
-func (nt *Nets) BackwardValue(dV float64) {
-	if nt.lastValueObs == nil {
-		panic("core: value backward before forward")
-	}
-	nt.dOut.EnsureShape(1, 1)
-	nt.dOut.Data[0] = dV
-	nt.backThroughEmbedding(nt.critic.Backward(nt.dOut))
+// BackwardValueBatch implements rl.ActorCritic.
+func (nt *Nets) BackwardValueBatch(dValues *nn.Matrix) {
+	nt.backThroughTrunk(nt.critic.Backward(dValues))
 }
 
 // ValueParams implements rl.ActorCritic: GCN trunk + critic head (cached,
@@ -196,8 +236,8 @@ func (nt *Nets) ActionSpace() int { return nt.actionSpace }
 // differential tests.
 //
 // logits[i] must be a caller-owned slice of length ActionSpace(); values
-// must have length len(obs). Backward caches are not maintained: this is
-// an inference-only path (the PPO update re-forwards per step).
+// must have length len(obs). This is an inference-only path; the PPO
+// update evaluates its batch through LoadBatch.
 func (nt *Nets) ForwardPolicyValueBatch(obs []*Obs, logits [][]float64, values []float64) {
 	b := len(obs)
 	if b == 0 {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nbf"
 	"repro/internal/nn"
+	"repro/internal/rl"
 	"repro/internal/tsn"
 )
 
@@ -142,10 +143,11 @@ func TestNetsGradientThroughFullPipeline(t *testing.T) {
 
 	ps := nets.PolicyParams()
 	nn.ZeroGrads(ps)
-	logits := nets.ForwardPolicy(obs)
-	dLogits := make([]float64, len(logits))
-	dLogits[target] = 1
-	nets.BackwardPolicy(dLogits)
+	nets.LoadBatch([]rl.Observation{obs})
+	logits := nets.ForwardPolicyBatch()
+	dLogits := nn.NewMatrix(1, logits.Cols)
+	dLogits.Data[target] = 1
+	nets.BackwardPolicyBatch(dLogits)
 
 	const eps = 1e-6
 	for pi, p := range ps {
@@ -167,8 +169,8 @@ func TestNetsGradientThroughFullPipeline(t *testing.T) {
 	// Value head gradient check.
 	vs := nets.ValueParams()
 	nn.ZeroGrads(vs)
-	nets.ForwardValue(obs)
-	nets.BackwardValue(1)
+	nets.ForwardValueBatch()
+	nets.BackwardValueBatch(nn.FromSlice(1, 1, []float64{1}))
 	vloss := func() float64 { return nets.ForwardValue(obs) }
 	for pi, p := range vs {
 		for j := 0; j < len(p.Value.Data); j += 11 {

@@ -62,6 +62,14 @@ type EpochStats struct {
 	// update); the paper reports ~39 s/epoch for ORION and ~10 s for ADS
 	// on its Python stack.
 	Duration time.Duration
+	// ExploreTime is the wall-clock of the epoch's exploration, including
+	// the re-collection of quarantined workers' steps; UpdateTime is that
+	// of the PPO update, including watchdog rollbacks and retries. The
+	// residual Duration − ExploreTime − UpdateTime is the epoch's
+	// bookkeeping: buffer merges, replica sync, best-plan and counter
+	// collection.
+	ExploreTime time.Duration `json:",omitempty"`
+	UpdateTime  time.Duration `json:",omitempty"`
 	// AnalysisTime is the failure-analysis wall-clock summed across the
 	// epoch's workers — the Algorithm 3 share of the epoch cost.
 	AnalysisTime time.Duration `json:",omitempty"`
@@ -499,6 +507,7 @@ func (p *Planner) PlanContext(ctx context.Context) (*Report, error) {
 				break
 			}
 		}
+		es.ExploreTime = time.Since(epochStart)
 
 		merged := rl.NewBuffer(p.cfg.Discount, p.cfg.GAELambda)
 		for _, w := range workers {
@@ -525,7 +534,9 @@ func (p *Planner) PlanContext(ctx context.Context) (*Report, error) {
 		// Gradient update on the merged batch (equivalent to averaging the
 		// per-worker gradient estimators, §IV-C) under the divergence
 		// watchdog, then synchronize replicas.
+		updateStart := time.Now()
 		stats, recovery, err := ppo.UpdateWithRecovery(global, merged, p.cfg.DivergenceRetries)
+		es.UpdateTime = time.Since(updateStart)
 		if err != nil {
 			return nil, fmt.Errorf("planner: epoch %d: %w", epoch, err)
 		}

@@ -17,6 +17,8 @@ func stripDurations(es []EpochStats) []EpochStats {
 	out := append([]EpochStats(nil), es...)
 	for i := range out {
 		out[i].Duration = 0
+		out[i].ExploreTime = 0
+		out[i].UpdateTime = 0
 		out[i].AnalysisTime = 0
 		out[i].AnalysisCacheHits = 0
 		out[i].AnalysisCacheMisses = 0

@@ -39,9 +39,10 @@ type plannerMetrics struct {
 	adamSteps    *obsv.Gauge
 	cacheEntries *obsv.Gauge
 
-	epochDur *obsv.Histogram
-	ckptSave *obsv.Histogram
-	ckptLoad *obsv.Histogram
+	epochDur  *obsv.Histogram
+	updateDur *obsv.Histogram
+	ckptSave  *obsv.Histogram
+	ckptLoad  *obsv.Histogram
 
 	// lastEvictions turns the cache's lifetime eviction total into
 	// per-epoch deltas (the epoch loop is single-goroutine).
@@ -76,9 +77,10 @@ func newPlannerMetrics(reg *obsv.Registry) *plannerMetrics {
 		adamSteps:    reg.Gauge("nptsn_adam_steps", "Lifetime actor+critic Adam update count."),
 		cacheEntries: reg.Gauge("nptsn_analysis_cache_entries", "Verdicts currently memoized."),
 
-		epochDur: reg.Histogram("nptsn_epoch_duration_seconds", "Wall-clock per epoch (exploration + update).", obsv.DurationBuckets),
-		ckptSave: reg.Histogram("nptsn_checkpoint_save_seconds", "Checkpoint capture+write duration.", obsv.DurationBuckets),
-		ckptLoad: reg.Histogram("nptsn_checkpoint_load_seconds", "Checkpoint restore duration.", obsv.DurationBuckets),
+		epochDur:  reg.Histogram("nptsn_epoch_duration_seconds", "Wall-clock per epoch (exploration + update).", obsv.DurationBuckets),
+		updateDur: reg.Histogram("nptsn_epoch_update_seconds", "Wall-clock of each epoch's PPO update, watchdog retries included.", obsv.DurationBuckets),
+		ckptSave:  reg.Histogram("nptsn_checkpoint_save_seconds", "Checkpoint capture+write duration.", obsv.DurationBuckets),
+		ckptLoad:  reg.Histogram("nptsn_checkpoint_load_seconds", "Checkpoint restore duration.", obsv.DurationBuckets),
 	}
 }
 
@@ -113,6 +115,7 @@ func (m *plannerMetrics) recordEpoch(es EpochStats, cache *failure.Cache) {
 	m.bestCost.Set(es.BestCost)
 	m.adamSteps.Set(float64(es.AdamSteps))
 	m.epochDur.Observe(es.Duration.Seconds())
+	m.updateDur.Observe(es.UpdateTime.Seconds())
 
 	if cache != nil {
 		st := cache.Stats()
@@ -154,6 +157,8 @@ func epochEvent(es EpochStats) obsv.Event {
 			"env_resets":       float64(es.EnvResets),
 			"best_cost":        es.BestCost,
 			"duration_seconds": es.Duration.Seconds(),
+			"explore_seconds":  es.ExploreTime.Seconds(),
+			"update_seconds":   es.UpdateTime.Seconds(),
 			"analysis_seconds": es.AnalysisTime.Seconds(),
 			"nbf_calls":        float64(es.NBFCalls),
 			"cache_hits":       float64(es.AnalysisCacheHits),

@@ -57,8 +57,10 @@ func TestTrainingWithMetricsAndEvents(t *testing.T) {
 	wantSample("nptsn_env_steps_total", float64(steps))
 	wantSample("nptsn_trajectories_total", float64(trajectories))
 	wantSample("nptsn_epoch_reward", got.Epochs[len(got.Epochs)-1].Reward)
-	if !strings.Contains(text, "nptsn_epoch_duration_seconds_bucket") {
-		t.Fatalf("epoch duration histogram missing:\n%s", text)
+	for _, h := range []string{"nptsn_epoch_duration_seconds_bucket", "nptsn_epoch_update_seconds_bucket"} {
+		if !strings.Contains(text, h) {
+			t.Fatalf("epoch histogram %s missing:\n%s", h, text)
+		}
 	}
 	if !strings.Contains(text, "nptsn_analysis_cache_hits_total") {
 		t.Fatalf("cache metrics missing:\n%s", text)
@@ -92,8 +94,14 @@ func TestTrainingWithMetricsAndEvents(t *testing.T) {
 			t.Fatalf("epoch event %d has no report entry", e.Epoch)
 		}
 		if e.V["reward"] != es.Reward || e.V["env_steps"] != float64(es.EnvSteps) ||
-			e.V["solutions"] != float64(es.Solutions) {
+			e.V["solutions"] != float64(es.Solutions) ||
+			e.V["explore_seconds"] != es.ExploreTime.Seconds() || e.V["update_seconds"] != es.UpdateTime.Seconds() {
 			t.Fatalf("epoch %d event disagrees with report: %v vs %+v", e.Epoch, e.V, es)
+		}
+		// The parts are measured inside the epoch's wall clock, so the
+		// residual Duration − ExploreTime − UpdateTime is never negative.
+		if es.ExploreTime <= 0 || es.UpdateTime <= 0 || es.ExploreTime+es.UpdateTime > es.Duration {
+			t.Fatalf("epoch %d: explore %v + update %v do not fit its %v", e.Epoch, es.ExploreTime, es.UpdateTime, es.Duration)
 		}
 	}
 }

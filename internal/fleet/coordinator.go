@@ -596,8 +596,13 @@ func (c *Coordinator) place(ctx context.Context, rep *replica, fp string, req se
 	cctx, cancel := context.WithTimeout(ctx, c.opt.CallTimeout)
 	defer cancel()
 	if fp != "" { // unknown derived fingerprint: nothing to adopt by
-		if st, ok := rep.client.FindByFingerprint(cctx, fp); ok &&
-			st.State != service.StateFailed && st.State != service.StateCancelled {
+		st, ok, err := rep.client.FindByFingerprint(cctx, fp)
+		if err != nil {
+			// Whether the replica already owns the work is unknown;
+			// submitting could plan it twice there.
+			return service.Status{}, false, err
+		}
+		if ok && st.State != service.StateFailed && st.State != service.StateCancelled {
 			return st, true, nil
 		}
 	}

@@ -72,10 +72,11 @@ func TestMaskedSoftmaxAllocFree(t *testing.T) {
 	logits := []float64{0.3, -1.2, 2.5, 0.0, -0.4}
 	mask := []bool{true, false, true, true, false}
 	sc := NewScratch(len(logits))
+	grad := make([]float64, len(logits))
 	assertAllocFree(t, "masked softmax chain", func() {
 		masked := MaskLogitsInto(sc.Masked, logits, mask)
 		SoftmaxInto(sc.Probs, masked)
 		LogSoftmaxInto(sc.LogProbs, masked)
-		LogSoftmaxGradInto(sc.Grad, masked, 2)
+		LogSoftmaxGradInto(grad, masked, 2)
 	})
 }

@@ -19,56 +19,70 @@ const (
 	Tanh
 )
 
-// applyInto computes dst = σ(z) element-wise, resizing dst in place.
+// applyInto computes dst = σ(z) element-wise, resizing dst in place; dst
+// may be z itself.
 func (a Activation) applyInto(dst, z *Matrix) {
 	dst.EnsureShape(z.Rows, z.Cols)
+	a.apply(dst.Data, z.Data)
+}
+
+// apply computes dst[i] = σ(z[i]); dst may alias z.
+func (a Activation) apply(dst, z []float64) {
+	dst = dst[:len(z)]
 	switch a {
 	case Identity:
-		copy(dst.Data, z.Data)
+		copy(dst, z)
 	case ReLU:
-		for i, v := range z.Data {
+		for i, v := range z {
 			if v < 0 {
-				dst.Data[i] = 0
+				dst[i] = 0
 			} else {
-				dst.Data[i] = v
+				dst[i] = v
 			}
 		}
 	case Tanh:
-		for i, v := range z.Data {
-			dst.Data[i] = math.Tanh(v)
+		for i, v := range z {
+			dst[i] = math.Tanh(v)
 		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(a)))
 	}
 }
 
-// backwardInto computes dst = dY ⊙ dσ/dz element-wise from the cached
-// pre-activation z and output y — the fused form of the former
-// Hadamard(dY, gradFactor(z, y)); each element is the identical product, so
-// gradients are bit-identical to the allocating version.
-func (a Activation) backwardInto(dst, dY, z, y *Matrix) {
-	shapeEqual("activation backward", dY, z)
-	dst.EnsureShape(z.Rows, z.Cols)
+// backward computes dst = dY ⊙ dσ/dz element-wise from the activation
+// output y = σ(z) alone; dst may alias dY or y. The derivative needs no
+// pre-activation: tanh' = 1 − y², and for ReLU y > 0 exactly when z > 0
+// (y is z itself when z is not negative, NaN included, and 0 otherwise),
+// so the products are those of the dY ⊙ σ'(z) formulation, bit for bit.
+func (a Activation) backward(dst, dY, y []float64) {
+	dY, y = dY[:len(dst)], y[:len(dst)]
 	switch a {
 	case Identity:
-		copy(dst.Data, dY.Data)
+		copy(dst, dY)
 	case ReLU:
-		for i, v := range z.Data {
+		for i, v := range y {
 			if v > 0 {
-				dst.Data[i] = dY.Data[i] * 1
+				dst[i] = dY[i] * 1
 			} else {
 				// dY·0, not the constant 0: keeps zero signs and NaN
 				// propagation bit-identical to the Hadamard formulation.
-				dst.Data[i] = dY.Data[i] * 0
+				dst[i] = dY[i] * 0
 			}
 		}
 	case Tanh:
-		for i := range z.Data {
-			dst.Data[i] = dY.Data[i] * (1 - y.Data[i]*y.Data[i])
+		for i, v := range y {
+			dst[i] = dY[i] * (1 - v*v)
 		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(a)))
 	}
+}
+
+// backwardInto is backward on matrices, resizing dst to y's shape.
+func (a Activation) backwardInto(dst, dY, y *Matrix) {
+	shapeEqual("activation backward", dY, y)
+	dst.EnsureShape(y.Rows, y.Cols)
+	a.backward(dst.Data, dY.Data, y.Data)
 }
 
 // Dense is a fully connected layer y = σ(xW + b) with cached forward state
@@ -78,6 +92,8 @@ func (a Activation) backwardInto(dst, dY, z, y *Matrix) {
 // resized in place, so steady-state evaluation allocates nothing. The
 // returned matrices are owned by the layer and valid until its next
 // Forward/Backward call; callers that retain results must copy them.
+// Backward consumes the forward cache (it overwrites the activations with
+// dY ⊙ σ'), so it runs at most once per Forward.
 type Dense struct {
 	In, Out int
 	Act     Activation
@@ -88,13 +104,10 @@ type Dense struct {
 	gradW *Matrix
 	gradB *Matrix
 
-	lastX *Matrix // batch×In (caller-owned input, not copied)
-	z     *Matrix // pre-activation scratch
-	y     *Matrix // post-activation scratch
-
-	dZ       *Matrix // backward scratch: dY ⊙ σ'
-	dX       *Matrix // backward scratch: returned input gradient
-	gradWTmp *Matrix // backward scratch: xᵀ dZ before accumulation
+	lastX *Matrix   // batch×In (caller-owned input, not copied)
+	y     *Matrix   // activations: xW + b, then σ of it in place
+	dX    *Matrix   // backward scratch: returned input gradient
+	acc   []float64 // backward scratch: one row of xᵀ dZ
 }
 
 // NewDense builds a dense layer with Xavier-initialized weights.
@@ -103,8 +116,7 @@ func NewDense(rng *rand.Rand, in, out int, act Activation) *Dense {
 		In: in, Out: out, Act: act,
 		W: NewMatrix(in, out), B: NewMatrix(1, out),
 		gradW: NewMatrix(in, out), gradB: NewMatrix(1, out),
-		z: new(Matrix), y: new(Matrix),
-		dZ: new(Matrix), dX: new(Matrix), gradWTmp: new(Matrix),
+		y: new(Matrix), dX: new(Matrix),
 	}
 	d.W.XavierInit(rng, in, out)
 	return d
@@ -116,34 +128,37 @@ func (d *Dense) Forward(x *Matrix) *Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense input %d, want %d", x.Cols, d.In))
 	}
-	MatMulInto(d.z, x, d.W)
-	for r := 0; r < d.z.Rows; r++ {
-		row := d.z.Data[r*d.z.Cols : (r+1)*d.z.Cols]
+	MatMulInto(d.y, x, d.W)
+	for r := 0; r < d.y.Rows; r++ {
+		row := d.y.Data[r*d.y.Cols : (r+1)*d.y.Cols]
 		for c, bv := range d.B.Data {
 			row[c] += bv
 		}
 	}
 	d.lastX = x
-	d.Act.applyInto(d.y, d.z)
+	d.Act.applyInto(d.y, d.y)
 	return d.y
 }
 
 // Backward accumulates parameter gradients for upstream gradient dY and
 // returns the gradient with respect to the input (layer-owned scratch).
+// Rows of a batch are summed into each gradient element in row order, so
+// one call on a B-row batch adds the same values, in the same order, as B
+// single-row calls would add to zeroed gradients.
 func (d *Dense) Backward(dY *Matrix) *Matrix {
 	if d.lastX == nil {
 		panic("nn: dense backward before forward")
 	}
-	d.Act.backwardInto(d.dZ, dY, d.z, d.y)
-	matMulATInto(d.gradWTmp, d.lastX, d.dZ)
-	d.gradW.AddInPlace(d.gradWTmp)
+	dZ := d.y
+	d.Act.backwardInto(dZ, dY, d.y)
+	matMulATAddInto(d.gradW, d.lastX, dZ, &d.acc)
 	// Bias gradient: column sums of dZ.
-	for r := 0; r < d.dZ.Rows; r++ {
-		for c := 0; c < d.dZ.Cols; c++ {
-			d.gradB.Data[c] += d.dZ.Data[r*d.dZ.Cols+c]
+	for r := 0; r < dZ.Rows; r++ {
+		for c := 0; c < dZ.Cols; c++ {
+			d.gradB.Data[c] += dZ.Data[r*dZ.Cols+c]
 		}
 	}
-	matMulBTInto(d.dX, d.dZ, d.W)
+	matMulBTInto(d.dX, dZ, d.W)
 	return d.dX
 }
 

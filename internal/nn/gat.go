@@ -53,15 +53,14 @@ type GATLayer struct {
 	z        *Matrix
 	raw      *Matrix // unactivated attention scores (only valid on mask)
 	alpha    *Matrix
-	s        *Matrix // pre-activation aggregate
-	y        *Matrix
+	y        *Matrix // the aggregate α Z, then σ of it in place
 
 	src, dst []float64 // per-node attention score scratch
 
 	dS        *Matrix // backward scratch
 	dZ        *Matrix
 	dH        *Matrix
-	gradWTmp  *Matrix
+	acc       []float64 // one row of Hᵀ dZ
 	dSrc      []float64
 	dDst      []float64
 	dAlphaRow []float64
@@ -73,8 +72,8 @@ func NewGATLayer(rng *rand.Rand, in, out int, act Activation) *GATLayer {
 		In: in, Out: out, Act: act,
 		W: NewMatrix(in, out), A1: NewMatrix(out, 1), A2: NewMatrix(out, 1),
 		gradW: NewMatrix(in, out), gradA1: NewMatrix(out, 1), gradA2: NewMatrix(out, 1),
-		z: new(Matrix), raw: new(Matrix), alpha: new(Matrix), s: new(Matrix), y: new(Matrix),
-		dS: new(Matrix), dZ: new(Matrix), dH: new(Matrix), gradWTmp: new(Matrix),
+		z: new(Matrix), raw: new(Matrix), alpha: new(Matrix), y: new(Matrix),
+		dS: new(Matrix), dZ: new(Matrix), dH: new(Matrix),
 	}
 	l.W.XavierInit(rng, in, out)
 	l.A1.XavierInit(rng, out, 1)
@@ -148,9 +147,9 @@ func (l *GATLayer) Forward(mask, h *Matrix) *Matrix {
 		}
 	}
 
-	MatMulInto(l.s, alpha, z)
+	MatMulInto(l.y, alpha, z)
 	l.lastMask, l.lastH = mask, h
-	l.Act.applyInto(l.y, l.s)
+	l.Act.applyInto(l.y, l.y)
 	return l.y
 }
 
@@ -174,11 +173,13 @@ func (l *GATLayer) Backward(dY *Matrix) *Matrix {
 		panic("nn: gat backward before forward")
 	}
 	n := l.lastH.Rows
-	l.Act.backwardInto(l.dS, dY, l.s, l.y)
+	l.Act.backwardInto(l.dS, dY, l.y)
 	dS := l.dS
 
 	// dZ from the aggregation: dZ = αᵀ dS.
-	matMulATInto(l.dZ, l.alpha, dS)
+	l.dZ.EnsureShape(n, l.Out)
+	l.dZ.Zero()
+	matMulATAddInto(l.dZ, l.alpha, dS, &l.acc)
 	dZ := l.dZ
 
 	// dα_ij = dS_i · Z_j for edges; then masked softmax backward per row.
@@ -227,8 +228,7 @@ func (l *GATLayer) Backward(dY *Matrix) *Matrix {
 		}
 	}
 
-	matMulATInto(l.gradWTmp, l.lastH, dZ)
-	l.gradW.AddInPlace(l.gradWTmp)
+	matMulATAddInto(l.gradW, l.lastH, dZ, &l.acc)
 	matMulBTInto(l.dH, dZ, l.W)
 	return l.dH
 }
@@ -247,6 +247,10 @@ func (l *GATLayer) Params() []Param {
 // propagation operator.
 type GAT struct {
 	layers []*GATLayer
+
+	masks, feats []*Matrix // batch inputs (caller-owned, from SetBatch)
+	out          Matrix    // batch embeddings, one block per observation
+	block        Matrix    // view of one observation's block of dY
 }
 
 // NewGAT builds numLayers GAT layers mapping inFeatures to embedDim with
@@ -293,6 +297,52 @@ func (g *GAT) Backward(dY *Matrix) *Matrix {
 		dY = g.layers[i].Backward(dY)
 	}
 	return dY
+}
+
+// SetBatch fixes the observations ForwardBatch and BackwardBatch evaluate:
+// masks[b] and feats[b] are observation b's attention mask and node
+// features. Both slices are retained until the next SetBatch; an empty
+// batch releases them.
+func (g *GAT) SetBatch(masks, feats []*Matrix) {
+	if len(masks) != len(feats) {
+		panic(fmt.Sprintf("nn: gat batch of %d masks and %d feature blocks", len(masks), len(feats)))
+	}
+	g.masks, g.feats = masks, feats
+}
+
+// ForwardBatch evaluates the batch fixed by SetBatch, one observation at a
+// time, and returns the embeddings stacked as one block per observation
+// (GAT-owned scratch, valid until the next call).
+func (g *GAT) ForwardBatch() *Matrix {
+	if len(g.feats) == 0 {
+		panic("nn: gat batch forward before SetBatch")
+	}
+	for b := range g.feats {
+		y := g.Forward(g.masks[b], g.feats[b])
+		if b == 0 {
+			g.out.EnsureShape(len(g.feats)*y.Rows, y.Cols)
+		}
+		copy(g.out.Data[b*len(y.Data):(b+1)*len(y.Data)], y.Data)
+	}
+	return &g.out
+}
+
+// BackwardBatch backpropagates a batch of embedding gradients (stacked like
+// ForwardBatch's result), observation by observation in batch order. The
+// layers cache one observation's attention at a time, so each observation
+// is forwarded again right before its backward pass; the forward is
+// deterministic, so this reproduces the cached state exactly.
+func (g *GAT) BackwardBatch(dY *Matrix) {
+	if len(g.layers) == 0 {
+		return
+	}
+	rows := dY.Rows / len(g.feats)
+	g.block.Rows, g.block.Cols = rows, dY.Cols
+	for b := range g.feats {
+		g.Forward(g.masks[b], g.feats[b])
+		g.block.Data = dY.Data[b*rows*dY.Cols : (b+1)*rows*dY.Cols]
+		g.Backward(&g.block)
+	}
 }
 
 // Params lists all parameters.

@@ -118,17 +118,25 @@ func MatMulInto(dst, a, b *Matrix) {
 		panic("nn: matmul destination aliases an operand")
 	}
 	dst.EnsureShape(a.Rows, b.Cols)
-	for i := range dst.Data {
-		dst.Data[i] = 0
+	matMul(dst.Data, a.Data, b.Data, a.Cols, b.Cols)
+}
+
+// matMul is MatMulInto on row-major slices: dst (m×n) = a (m×k) × b (k×n),
+// with m = len(dst)/n. It is also applied to one row block of a row-stacked
+// batch at a time (a per-observation Ŝ times that observation's rows).
+func matMul(dst, a, b []float64, k, n int) {
+	for i := range dst {
+		dst[i] = 0
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*b.Cols : (i+1)*b.Cols]
-		for k, av := range arow {
+	m := len(dst) / max(n, 1)
+	for i := 0; i < m; i++ {
+		arow := a[i*k : (i+1)*k]
+		orow := dst[i*n : (i+1)*n]
+		for kk, av := range arow {
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			brow := b[kk*n : (kk+1)*n]
 			for j, bv := range brow {
 				orow[j] += av * bv
 			}
@@ -136,38 +144,54 @@ func MatMulInto(dst, a, b *Matrix) {
 	}
 }
 
-// matMulATInto computes dst = aᵀ×b without materializing the transpose.
-// The loop visits exactly the elements MatMulInto(dst, a.Transpose(), b)
-// would, in the same order, so results are bit-identical to the allocating
-// form the layers used before the scratch rewrite.
-func matMulATInto(dst, a, b *Matrix) {
+// matMulATAddInto adds aᵀ×b into dst (a is r×m, b is r×n, dst is m×n)
+// without a temporary: each row of the product is summed in the one-row
+// scratch *acc (grown on first use) and then added to dst. Every element
+// sums a[k][i]·b[k][j] over k in order from zero, skipping zero elements
+// of a, and adds that sum once — the operation sequence of computing aᵀ×b
+// into a zeroed matrix and adding it, so gradients are bit-identical to
+// that form.
+func matMulATAddInto(dst, a, b *Matrix, acc *[]float64) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("nn: matmul(aT,b) inner dims %d vs %d", a.Rows, b.Rows))
 	}
-	if aliases(dst, a) || aliases(dst, b) {
-		panic("nn: matmul destination aliases an operand")
+	if dst.Rows != a.Cols || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("nn: matmul(aT,b) into %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	dst.EnsureShape(a.Cols, b.Cols)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i := 0; i < a.Cols; i++ {
-		orow := dst.Data[i*b.Cols : (i+1)*b.Cols]
-		for k := 0; k < a.Rows; k++ {
-			av := a.Data[k*a.Cols+i]
+	matMulATAdd(dst.Data, a.Data, b.Data, a.Cols, b.Cols, acc)
+}
+
+// matMulATAdd is matMulATAddInto on row-major slices, with r = len(a)/m.
+func matMulATAdd(dst, a, b []float64, m, n int, acc *[]float64) {
+	*acc = ensureLen(*acc, n)
+	row := *acc
+	rows := len(a) / max(m, 1)
+	for i := 0; i < m; i++ {
+		for j := range row {
+			row[j] = 0
+		}
+		for k := 0; k < rows; k++ {
+			av := a[k*m+i]
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			brow := b[k*n : (k+1)*n][:len(row)]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				row[j] += av * bv
 			}
+		}
+		orow := dst[i*n : (i+1)*n][:len(row)]
+		for j, v := range row {
+			orow[j] += v
 		}
 	}
 }
 
-// matMulBTInto computes dst = a×bᵀ without materializing the transpose,
-// bit-identical to MatMulInto(dst, a, b.Transpose()).
+// matMulBTInto computes dst = a×bᵀ without materializing the transpose.
+// Each element is the dot product of a row of a with a row of b, summed
+// over k in order from zero and skipping zero elements of a — the
+// operation sequence of MatMulInto(dst, a, b.Transpose()), so results are
+// bit-identical to it.
 func matMulBTInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: matmul(a,bT) inner dims %d vs %d", a.Cols, b.Cols))
@@ -176,21 +200,71 @@ func matMulBTInto(dst, a, b *Matrix) {
 		panic("nn: matmul destination aliases an operand")
 	}
 	dst.EnsureShape(a.Rows, b.Rows)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*b.Rows : (i+1)*b.Rows]
-		for k, av := range arow {
-			if av == 0 {
-				continue
+	matMulBT(dst.Data, a.Data, b.Data, a.Cols, b.Rows)
+}
+
+// matMulBT is matMulBTInto on row-major slices: dst (m×n) = a (m×k) ×
+// bᵀ for b (n×k). Both operands are read along contiguous rows, and a 2×4
+// block of outputs is kept in registers, so each loaded element of a
+// feeds four products and each element of b two.
+func matMulBT(dst, a, b []float64, k, n int) {
+	m := len(dst) / max(n, 1)
+	i := 0
+	for ; i+2 <= m; i += 2 {
+		a0 := a[i*k : (i+1)*k]
+		a1 := a[(i+1)*k : (i+2)*k][:len(a0)]
+		o0 := dst[i*n : (i+1)*n]
+		o1 := dst[(i+1)*n : (i+2)*n][:len(o0)]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[j*k : (j+1)*k][:len(a0)]
+			b1 := b[(j+1)*k : (j+2)*k][:len(a0)]
+			b2 := b[(j+2)*k : (j+3)*k][:len(a0)]
+			b3 := b[(j+3)*k : (j+4)*k][:len(a0)]
+			var c00, c01, c02, c03, c10, c11, c12, c13 float64
+			for kk, v0 := range a0 {
+				w0, w1, w2, w3 := b0[kk], b1[kk], b2[kk], b3[kk]
+				if v0 != 0 {
+					c00 += v0 * w0
+					c01 += v0 * w1
+					c02 += v0 * w2
+					c03 += v0 * w3
+				}
+				if v1 := a1[kk]; v1 != 0 {
+					c10 += v1 * w0
+					c11 += v1 * w1
+					c12 += v1 * w2
+					c13 += v1 * w3
+				}
 			}
-			for j := 0; j < b.Rows; j++ {
-				orow[j] += av * b.Data[j*b.Cols+k]
-			}
+			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
+			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
+		}
+		for ; j < n; j++ {
+			brow := b[j*k : (j+1)*k]
+			o0[j], o1[j] = dotSkip(a0, brow), dotSkip(a1, brow)
 		}
 	}
+	if i < m {
+		arow := a[i*k : (i+1)*k]
+		orow := dst[i*n : (i+1)*n]
+		for j := range orow {
+			orow[j] = dotSkip(arow, b[j*k:(j+1)*k])
+		}
+	}
+}
+
+// dotSkip returns Σ a[k]·b[k] summed in order from zero, skipping zero
+// elements of a.
+func dotSkip(a, b []float64) float64 {
+	b = b[:len(a)]
+	var c float64
+	for k, av := range a {
+		if av != 0 {
+			c += av * b[k]
+		}
+	}
+	return c
 }
 
 // Transpose returns mᵀ.

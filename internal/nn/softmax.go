@@ -178,11 +178,11 @@ func LogSoftmaxGradInto(dst, logits []float64, action int) []float64 {
 
 // Scratch is a per-worker arena of reusable action-space vectors, sized
 // once from the policy's output dimension. Every exploration step and PPO
-// update step needs the same four intermediates (masked logits,
-// log-probabilities, probabilities, logit gradient); carving them out of
-// one arena keeps the sampling path allocation-free. The buffers are
-// mutually disjoint, but each one is overwritten by the next step — callers
-// that retain values must copy them out.
+// update step needs the same intermediates (raw logits, masked logits,
+// probabilities, log-probabilities); carving them out of one arena keeps
+// the sampling path allocation-free. The buffers are mutually disjoint,
+// but each one is overwritten by the next step — callers that retain
+// values must copy them out.
 type Scratch struct {
 	// Logits receives the raw policy output in batched evaluation.
 	Logits []float64
@@ -192,22 +192,19 @@ type Scratch struct {
 	Probs []float64
 	// LogProbs holds log-softmax values.
 	LogProbs []float64
-	// Grad holds the per-step logit gradient of the PPO update.
-	Grad []float64
 }
 
 // NewScratch builds an arena for an action space of the given size. One
-// backing array serves all five vectors.
+// backing array serves all four vectors.
 func NewScratch(actionSpace int) *Scratch {
 	if actionSpace <= 0 {
 		panic(fmt.Sprintf("nn: scratch action space must be positive, got %d", actionSpace))
 	}
-	slab := make([]float64, 5*actionSpace)
+	slab := make([]float64, 4*actionSpace)
 	s := &Scratch{}
 	s.Logits = slab[0*actionSpace : 1*actionSpace : 1*actionSpace]
 	s.Masked = slab[1*actionSpace : 2*actionSpace : 2*actionSpace]
 	s.Probs = slab[2*actionSpace : 3*actionSpace : 3*actionSpace]
 	s.LogProbs = slab[3*actionSpace : 4*actionSpace : 4*actionSpace]
-	s.Grad = slab[4*actionSpace : 5*actionSpace : 5*actionSpace]
 	return s
 }

@@ -120,13 +120,30 @@ func (b *Buffer) Merge(other *Buffer) error {
 // retain them across Reset/Store/Merge without seeing them overwritten by
 // the buffer's internal append reuse.
 func (b *Buffer) Batch() ([]Step, []float64, []float64, error) {
+	if err := b.checkBatch(); err != nil {
+		return nil, nil, nil, err
+	}
+	adv := b.normalizedAdvantages(nil)
+	ret := append([]float64(nil), b.ret...)
+	steps := append([]Step(nil), b.steps...)
+	return steps, adv, ret, nil
+}
+
+// checkBatch reports why the buffer cannot be trained on, if it cannot.
+func (b *Buffer) checkBatch() error {
 	if b.pathStart != len(b.steps) {
-		return nil, nil, nil, fmt.Errorf("rl: batch requested with an unfinished path")
+		return fmt.Errorf("rl: batch requested with an unfinished path")
 	}
-	n := len(b.steps)
-	if n == 0 {
-		return nil, nil, nil, fmt.Errorf("rl: empty buffer")
+	if len(b.steps) == 0 {
+		return fmt.Errorf("rl: empty buffer")
 	}
+	return nil
+}
+
+// normalizedAdvantages writes the advantages, shifted to zero mean and
+// scaled to unit variance, into dst (grown as needed) and returns it.
+func (b *Buffer) normalizedAdvantages(dst []float64) []float64 {
+	n := len(b.adv)
 	mean := 0.0
 	for _, a := range b.adv {
 		mean += a
@@ -140,13 +157,14 @@ func (b *Buffer) Batch() ([]Step, []float64, []float64, error) {
 	if std < 1e-8 {
 		std = 1e-8
 	}
-	adv := make([]float64, n)
-	for i, a := range b.adv {
-		adv[i] = (a - mean) / std
+	if cap(dst) < n {
+		dst = make([]float64, n)
 	}
-	ret := append([]float64(nil), b.ret...)
-	steps := append([]Step(nil), b.steps...)
-	return steps, adv, ret, nil
+	dst = dst[:n]
+	for i, a := range b.adv {
+		dst[i] = (a - mean) / std
+	}
+	return dst
 }
 
 // CheckFinite verifies that every stored log-probability, value estimate,

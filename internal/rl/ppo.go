@@ -7,27 +7,38 @@ import (
 	"repro/internal/nn"
 )
 
-// ActorCritic abstracts the GCN+MLP networks of Fig. 3. The policy and
-// value heads share the GCN trunk; each head exposes its own parameter list
-// (trunk parameters appear in both, matching "the weights of the GCN are
-// updated twice", §IV-C) and its own forward/backward pair.
+// ActorCritic abstracts the GCN+MLP networks of Fig. 3 as the PPO update
+// sees them: one batch of observations, evaluated many times under
+// changing weights. The policy and value heads share the GCN trunk; each
+// head exposes its own parameter list (trunk parameters appear in both,
+// matching "the weights of the GCN are updated twice", §IV-C) and its own
+// batched forward/backward pair, with one row per observation.
 type ActorCritic interface {
-	// ForwardPolicy computes raw (unmasked) action logits for obs and
-	// caches activations for BackwardPolicy. The returned slice is borrowed
-	// network scratch: it is valid until the next forward call on the same
-	// ActorCritic and must not be modified or retained.
-	ForwardPolicy(obs Observation) []float64
-	// BackwardPolicy accumulates policy-head gradients for the upstream
-	// logit gradient.
-	BackwardPolicy(dLogits []float64)
+	// LoadBatch fixes the observations that the batch forwards evaluate,
+	// row i for obs[i], until the next LoadBatch. The slice is borrowed
+	// until then. An empty obs releases the previous batch: Update ends
+	// with one, so no observation outlives the update that trained on it.
+	LoadBatch(obs []Observation)
+
+	// ForwardPolicyBatch computes raw (unmasked) action logits, one row per
+	// loaded observation, and caches activations for BackwardPolicyBatch.
+	// The returned matrix is borrowed network scratch: it is valid until
+	// the next forward call and must not be modified or retained.
+	ForwardPolicyBatch() *nn.Matrix
+	// BackwardPolicyBatch accumulates policy-head gradients for the
+	// upstream logit gradients (same shape as the logits). Each gradient
+	// element sums the rows' terms in row order.
+	BackwardPolicyBatch(dLogits *nn.Matrix)
 	// PolicyParams lists trunk + actor-head parameters.
 	PolicyParams() []nn.Param
 
-	// ForwardValue computes the value estimate for obs and caches
-	// activations for BackwardValue.
-	ForwardValue(obs Observation) float64
-	// BackwardValue accumulates value-head gradients.
-	BackwardValue(dValue float64)
+	// ForwardValueBatch computes the value estimates as a B×1 matrix
+	// (borrowed like the logits) and caches activations for
+	// BackwardValueBatch.
+	ForwardValueBatch() *nn.Matrix
+	// BackwardValueBatch accumulates value-head gradients for the B×1
+	// upstream value gradients.
+	BackwardValueBatch(dValues *nn.Matrix)
 	// ValueParams lists trunk + critic-head parameters.
 	ValueParams() []nn.Param
 }
@@ -96,10 +107,15 @@ type PPO struct {
 	actorOpt  *nn.Adam
 	criticOpt *nn.Adam
 
-	// scratch backs the per-step masked-logits / probability / gradient
-	// vectors of Update, sized from the first step's logits; reusing it
-	// keeps the inner loops allocation-free across iterations and epochs.
+	// scratch backs the per-step masked-logits / probability vectors of
+	// Update, sized from the logits; obs, adv, dLogits and dValues are the
+	// batch-sized update buffers. All are sized on the first Update and
+	// reused, so steady-state updates allocate nothing.
 	scratch *nn.Scratch
+	obs     []Observation
+	adv     []float64
+	dLogits nn.Matrix
+	dValues nn.Matrix
 }
 
 // scratchFor returns the update scratch arena, (re)built when the action
@@ -131,12 +147,17 @@ func (p *PPO) AdamSteps() (actor, critic int) {
 
 // Update performs one epoch's gradient updates from the buffered data:
 // gradient ascent on the PPO-clip objective for GCN+actor, gradient descent
-// on the value MSE for GCN+critic.
+// on the value MSE for GCN+critic. Every iteration evaluates the whole
+// batch in one forward and one backward pass. Gradients are zeroed before
+// each backward pass and each gradient element sums the per-step terms in
+// step order, so the result is the one per-step passes would give; steps
+// whose clipped objective has zero gradient contribute exact zeros. A
+// policy iteration that stops early on KL runs no backward pass.
 func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
-	steps, adv, ret, err := buf.Batch()
-	if err != nil {
+	if err := buf.checkBatch(); err != nil {
 		return UpdateStats{}, err
 	}
+	steps, ret := buf.steps, buf.ret
 	// A stored action its own mask disables is poisoned data: its behavior
 	// log-probability is -inf and the policy gradient would push mass onto
 	// a disabled action. No retry can fix the batch, so reject it up front
@@ -149,22 +170,34 @@ func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
 			return UpdateStats{}, fmt.Errorf("rl: step %d stores action %d that its mask disables", i, s.Action)
 		}
 	}
+	p.adv = buf.normalizedAdvantages(p.adv)
+	adv := p.adv
+	p.obs = p.obs[:0]
+	for _, s := range steps {
+		p.obs = append(p.obs, s.Obs)
+	}
+	ac.LoadBatch(p.obs)
+	defer func() {
+		clear(p.obs)
+		ac.LoadBatch(nil)
+	}()
 	n := float64(len(steps))
+	clipLo, clipHi := 1-p.cfg.ClipRatio, 1+p.cfg.ClipRatio
 	var stats UpdateStats
 
 	// Policy iterations.
 	for iter := 0; iter < p.cfg.TrainPiIters; iter++ {
-		nn.ZeroGrads(ac.PolicyParams())
+		logits := ac.ForwardPolicyBatch()
+		width := logits.Cols
+		sc := p.scratchFor(width)
+		p.dLogits.EnsureShape(logits.Rows, width)
 		var loss, kl, entropy, clipped float64
 		for i, s := range steps {
-			logits := ac.ForwardPolicy(s.Obs)
-			sc := p.scratchFor(len(logits))
-			masked := nn.MaskLogitsInto(sc.Masked, logits, s.Mask)
+			masked := nn.MaskLogitsInto(sc.Masked, logits.Data[i*width:(i+1)*width], s.Mask)
 			logp := nn.LogSoftmaxInto(sc.LogProbs, masked)[s.Action]
 			ratio := math.Exp(logp - s.LogP)
 
 			a := adv[i]
-			clipLo, clipHi := 1-p.cfg.ClipRatio, 1+p.cfg.ClipRatio
 			unclipped := ratio * a
 			clampedRatio := math.Min(math.Max(ratio, clipLo), clipHi)
 			obj := math.Min(unclipped, clampedRatio*a)
@@ -180,13 +213,15 @@ func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
 			} else {
 				clipped++
 			}
-			if dObjDLogp != 0 {
-				gLogits := nn.LogSoftmaxGradInto(sc.Grad, masked, s.Action)
-				scale := -dObjDLogp / n // minimize loss = -mean(obj)
-				for j, g := range gLogits {
-					gLogits[j] = scale * g
-				}
-				ac.BackwardPolicy(gLogits)
+			gLogits := p.dLogits.Data[i*width : (i+1)*width]
+			if dObjDLogp == 0 {
+				clear(gLogits)
+				continue
+			}
+			nn.LogSoftmaxGradInto(gLogits, masked, s.Action)
+			scale := -dObjDLogp / n // minimize loss = -mean(obj)
+			for j, g := range gLogits {
+				gLogits[j] = scale * g
 			}
 		}
 		stats.PolicyLoss = loss / n
@@ -198,6 +233,8 @@ func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
 			stats.EarlyStopped = true
 			break
 		}
+		nn.ZeroGrads(ac.PolicyParams())
+		ac.BackwardPolicyBatch(&p.dLogits)
 		if p.cfg.MaxGradNorm > 0 {
 			nn.ClipGrads(ac.PolicyParams(), p.cfg.MaxGradNorm)
 		}
@@ -206,15 +243,17 @@ func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
 
 	// Value iterations.
 	for iter := 0; iter < p.cfg.TrainVIters; iter++ {
-		nn.ZeroGrads(ac.ValueParams())
+		values := ac.ForwardValueBatch()
+		p.dValues.EnsureShape(len(steps), 1)
 		var loss float64
-		for i, s := range steps {
-			v := ac.ForwardValue(s.Obs)
-			diff := v - ret[i]
+		for i := range steps {
+			diff := values.Data[i] - ret[i]
 			loss += diff * diff
-			ac.BackwardValue(2 * diff / n)
+			p.dValues.Data[i] = 2 * diff / n
 		}
 		stats.ValueLoss = loss / n
+		nn.ZeroGrads(ac.ValueParams())
+		ac.BackwardValueBatch(&p.dValues)
 		if p.cfg.MaxGradNorm > 0 {
 			nn.ClipGrads(ac.ValueParams(), p.cfg.MaxGradNorm)
 		}

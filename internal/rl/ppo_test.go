@@ -9,11 +9,13 @@ import (
 	"repro/internal/nn"
 )
 
-// testAC is a minimal actor-critic over nn.Matrix observations, used to
-// exercise PPO end to end on a toy problem.
+// testAC is a minimal actor-critic over 1×d nn.Matrix observations, used
+// to exercise PPO end to end on a toy problem. Its batch is the loaded
+// observations stacked into one matrix.
 type testAC struct {
 	actor  *nn.MLP
 	critic *nn.MLP
+	batch  *nn.Matrix
 }
 
 var _ ActorCritic = (*testAC)(nil)
@@ -25,32 +27,44 @@ func newTestAC(rng *rand.Rand, obsDim, nActions int) *testAC {
 	}
 }
 
-func (t *testAC) ForwardPolicy(obs Observation) []float64 {
-	x := obs.(*nn.Matrix)
-	return append([]float64(nil), t.actor.Forward(x).Data...)
+// policy returns the logits of one observation (a copy).
+func (t *testAC) policy(obs Observation) []float64 {
+	return append([]float64(nil), t.actor.Forward(obs.(*nn.Matrix)).Data...)
 }
 
-func (t *testAC) BackwardPolicy(dLogits []float64) {
-	t.actor.Backward(nn.FromSlice(1, len(dLogits), append([]float64(nil), dLogits...)))
+// value returns the value estimate of one observation.
+func (t *testAC) value(obs Observation) float64 {
+	return t.critic.Forward(obs.(*nn.Matrix)).Data[0]
 }
+
+func (t *testAC) LoadBatch(obs []Observation) {
+	if len(obs) == 0 {
+		t.batch = nil
+		return
+	}
+	d := obs[0].(*nn.Matrix).Cols
+	t.batch = nn.NewMatrix(len(obs), d)
+	for i, o := range obs {
+		copy(t.batch.Data[i*d:(i+1)*d], o.(*nn.Matrix).Data)
+	}
+}
+
+func (t *testAC) ForwardPolicyBatch() *nn.Matrix { return t.actor.Forward(t.batch) }
+
+func (t *testAC) BackwardPolicyBatch(dLogits *nn.Matrix) { t.actor.Backward(dLogits) }
 
 func (t *testAC) PolicyParams() []nn.Param { return t.actor.Params() }
 
-func (t *testAC) ForwardValue(obs Observation) float64 {
-	x := obs.(*nn.Matrix)
-	return t.critic.Forward(x).Data[0]
-}
+func (t *testAC) ForwardValueBatch() *nn.Matrix { return t.critic.Forward(t.batch) }
 
-func (t *testAC) BackwardValue(dV float64) {
-	t.critic.Backward(nn.FromSlice(1, 1, []float64{dV}))
-}
+func (t *testAC) BackwardValueBatch(dV *nn.Matrix) { t.critic.Backward(dV) }
 
 func (t *testAC) ValueParams() []nn.Param { return t.critic.Params() }
 
 // sampleAction draws an action from the masked policy and returns the
 // action with its log-probability.
-func sampleAction(rng *rand.Rand, ac ActorCritic, obs Observation, mask []bool) (int, float64) {
-	logits := ac.ForwardPolicy(obs)
+func sampleAction(rng *rand.Rand, ac *testAC, obs Observation, mask []bool) (int, float64) {
+	logits := ac.policy(obs)
 	masked := nn.MaskLogits(logits, mask)
 	probs := nn.Softmax(masked)
 	a := nn.SampleCategorical(rng, probs)
@@ -77,7 +91,7 @@ func TestPPOLearnsBandit(t *testing.T) {
 		buf := NewBuffer(0.99, 0.97)
 		for i := 0; i < 64; i++ {
 			a, logp := sampleAction(rng, ac, obs, mask)
-			v := ac.ForwardValue(obs)
+			v := ac.value(obs)
 			buf.Store(Step{Obs: obs, Action: a, Mask: mask, LogP: logp, Value: v, Reward: rewards[a]})
 			buf.FinishPath(0)
 		}
@@ -85,12 +99,12 @@ func TestPPOLearnsBandit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	probs := nn.Softmax(nn.MaskLogits(ac.ForwardPolicy(obs), mask))
+	probs := nn.Softmax(nn.MaskLogits(ac.policy(obs), mask))
 	if probs[2] < 0.8 {
 		t.Fatalf("policy did not learn the best arm: %v", probs)
 	}
 	// Critic should approach the expected value of the learned policy (~1).
-	if v := ac.ForwardValue(obs); v < 0.5 {
+	if v := ac.value(obs); v < 0.5 {
 		t.Fatalf("critic value %v did not track the return", v)
 	}
 }
@@ -118,7 +132,7 @@ func TestPPOMaskedActionStaysMasked(t *testing.T) {
 			if a == 2 {
 				t.Fatal("masked action sampled")
 			}
-			v := ac.ForwardValue(obs)
+			v := ac.value(obs)
 			buf.Store(Step{Obs: obs, Action: a, Mask: mask, LogP: logp, Value: v, Reward: rewards[a]})
 			buf.FinishPath(0)
 		}
@@ -126,7 +140,7 @@ func TestPPOMaskedActionStaysMasked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	probs := nn.Softmax(nn.MaskLogits(ac.ForwardPolicy(obs), mask))
+	probs := nn.Softmax(nn.MaskLogits(ac.policy(obs), mask))
 	if probs[2] != 0 {
 		t.Fatalf("masked action has probability %v", probs[2])
 	}

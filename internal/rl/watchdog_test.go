@@ -10,28 +10,28 @@ import (
 	"repro/internal/nn"
 )
 
-// nanAC wraps testAC and injects NaN into the first `poison` policy
-// gradients, deterministically driving Adam to non-finite weights so the
-// divergence watchdog has something to catch.
+// nanAC wraps testAC and injects NaN into the first `poison` batched
+// policy gradients, deterministically driving Adam to non-finite weights so
+// the divergence watchdog has something to catch.
 type nanAC struct {
 	*testAC
 	poison int
 }
 
-func (a *nanAC) BackwardPolicy(d []float64) {
+func (a *nanAC) BackwardPolicyBatch(d *nn.Matrix) {
 	if a.poison > 0 {
 		a.poison--
-		d = append([]float64(nil), d...)
-		for i := range d {
-			d[i] = math.NaN()
+		d = nn.NewMatrix(d.Rows, d.Cols)
+		for i := range d.Data {
+			d.Data[i] = math.NaN()
 		}
 	}
-	a.testAC.BackwardPolicy(d)
+	a.testAC.BackwardPolicyBatch(d)
 }
 
 // fillBanditBuffer collects one epoch of the 3-armed bandit used by the PPO
 // tests, so updates have realistic finite data.
-func fillBanditBuffer(rng *rand.Rand, ac ActorCritic, n, nActions int) *Buffer {
+func fillBanditBuffer(rng *rand.Rand, ac *testAC, n, nActions int) *Buffer {
 	obs := nn.FromSlice(1, 1, []float64{1})
 	mask := make([]bool, nActions)
 	for i := range mask {
@@ -40,7 +40,7 @@ func fillBanditBuffer(rng *rand.Rand, ac ActorCritic, n, nActions int) *Buffer {
 	buf := NewBuffer(0.99, 0.97)
 	for i := 0; i < n; i++ {
 		a, logp := sampleAction(rng, ac, obs, mask)
-		v := ac.ForwardValue(obs)
+		v := ac.value(obs)
 		buf.Store(Step{Obs: obs, Action: a, Mask: mask, LogP: logp, Value: v, Reward: float64(a) / 2})
 		buf.FinishPath(0)
 	}
@@ -63,7 +63,7 @@ func TestWatchdogRecoversFromTransientNaN(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ac := &nanAC{testAC: newTestAC(rng, 1, 3), poison: 1}
 	ppo := newWatchdogPPO(t)
-	buf := fillBanditBuffer(rng, ac, 32, 3)
+	buf := fillBanditBuffer(rng, ac.testAC, 32, 3)
 
 	stats, info, err := ppo.UpdateWithRecovery(ac, buf, 3)
 	if err != nil {
@@ -91,7 +91,7 @@ func TestWatchdogExhaustsRetryBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ac := &nanAC{testAC: newTestAC(rng, 1, 3), poison: 1 << 30} // every attempt diverges
 	ppo := newWatchdogPPO(t)
-	buf := fillBanditBuffer(rng, ac, 32, 3)
+	buf := fillBanditBuffer(rng, ac.testAC, 32, 3)
 
 	before := nn.ExportWeights(append(ac.PolicyParams(), ac.ValueParams()...))
 	_, info, err := ppo.UpdateWithRecovery(ac, buf, 2)
@@ -116,7 +116,7 @@ func TestWatchdogZeroRetriesStillRollsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ac := &nanAC{testAC: newTestAC(rng, 1, 3), poison: 1}
 	ppo := newWatchdogPPO(t)
-	buf := fillBanditBuffer(rng, ac, 16, 3)
+	buf := fillBanditBuffer(rng, ac.testAC, 16, 3)
 
 	_, info, err := ppo.UpdateWithRecovery(ac, buf, 0)
 	if !errors.Is(err, ErrDiverged) {

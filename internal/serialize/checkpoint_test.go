@@ -83,6 +83,8 @@ func TestCheckpointFileRoundTripResume(t *testing.T) {
 	for i := range ref.Epochs {
 		a, b := ref.Epochs[i], resumed.Epochs[i]
 		a.Duration, b.Duration = 0, 0
+		a.ExploreTime, b.ExploreTime = 0, 0
+		a.UpdateTime, b.UpdateTime = 0, 0
 		a.AnalysisTime, b.AnalysisTime = 0, 0
 		a.AnalysisCacheHits, b.AnalysisCacheHits = 0, 0
 		a.AnalysisCacheMisses, b.AnalysisCacheMisses = 0, 0

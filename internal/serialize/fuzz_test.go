@@ -121,3 +121,45 @@ func validProblem() *core.Problem {
 		ESLevel:         asil.LevelD,
 	}
 }
+
+// FuzzDeltaJSON feeds arbitrary bytes through the incremental re-planning
+// path a delta request takes: JSON → DeltaJSON → ApplyDelta on a valid
+// base spec → DecodeProblem → Problem.Validate. A malformed or stale delta
+// must come back as an error, never as a panic, and applying it must leave
+// the base spec untouched.
+func FuzzDeltaJSON(f *testing.F) {
+	base := EncodeProblem(validProblem(), "stateless-greedy")
+	var want bytes.Buffer
+	if err := WriteJSON(&want, base); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"removeFlows":[0]}`))
+	f.Add([]byte(`{"addFlows":[{"id":1,"src":1,"dsts":[0],"periodNs":500000,"deadlineNs":500000,"frameSize":64}]}`))
+	f.Add([]byte(`{"damageLinks":[{"u":0,"v":2}],"restoreLinks":[{"u":0,"v":1,"length":1}]}`))
+	f.Add([]byte(`{"reliabilityGoal":1e-9,"flowLevelRedundancy":true}`))
+	f.Add([]byte(`{"removeFlows":[0,0]}`))
+	f.Add([]byte(`not json`))
+
+	reg := nbf.NewRegistry()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d DeltaJSON
+		if err := ReadJSON(bytes.NewReader(data), &d); err != nil {
+			return
+		}
+		spec, err := ApplyDelta(base, d)
+		var got bytes.Buffer
+		if werr := WriteJSON(&got, base); werr != nil {
+			t.Fatal(werr)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatal("ApplyDelta mutated its base spec")
+		}
+		if err != nil {
+			return
+		}
+		if _, err := DecodeProblem(spec, reg); err != nil {
+			return
+		}
+	})
+}

@@ -144,22 +144,39 @@ func (c *Client) Submit(ctx context.Context, req Request) (Status, error) {
 		return Status{}, err
 	}
 	var lastErr error
+	// find is set while a POST may have been accepted without the client
+	// hearing of it: until the job list shows the fingerprint absent,
+	// posting again could plan the job twice.
+	find := false
 	for attempt := 0; ; attempt++ {
-		st, retryAfter, ambiguous, err := c.postJob(ctx, body)
-		if err == nil {
-			return st, nil
-		}
-		lastErr = err
-		if !retryableSubmit(err) || attempt >= c.retries() {
-			return Status{}, lastErr
-		}
-		if ambiguous && fingerprint != "" {
-			// The server may have accepted the job before the connection
-			// died; resubmitting would plan it twice. Adopt the existing
-			// job when the fingerprint resolves.
-			if st, ok := c.FindByFingerprint(ctx, fingerprint); ok {
+		var retryAfter time.Duration
+		if !find {
+			st, ra, ambiguous, err := c.postJob(ctx, body)
+			if err == nil {
 				return st, nil
 			}
+			if !retryableSubmit(err) {
+				return Status{}, err
+			}
+			lastErr, retryAfter = err, ra
+			find = ambiguous && fingerprint != ""
+		}
+		if find {
+			// Adopt the existing job when the fingerprint resolves. A list
+			// that cannot be read says nothing about the job: look again on
+			// the next attempt rather than post.
+			st, ok, err := c.FindByFingerprint(ctx, fingerprint)
+			switch {
+			case err != nil:
+				lastErr = err
+			case ok:
+				return st, nil
+			default:
+				find = false
+			}
+		}
+		if attempt >= c.retries() {
+			return Status{}, lastErr
 		}
 		if serr := c.sleep(ctx, c.delay(attempt, retryAfter)); serr != nil {
 			// The caller gave up mid-backoff: surface the cancellation (so
@@ -220,11 +237,13 @@ func retryableSubmit(err error) bool {
 // carrying the fingerprint, if any. Submit uses it to adopt a job whose
 // acceptance response was lost; the fleet coordinator uses it to make
 // failover hand-offs idempotent — adopting work a replica already owns
-// instead of planning it twice.
-func (c *Client) FindByFingerprint(ctx context.Context, fingerprint string) (Status, bool) {
+// instead of planning it twice. An error means the job list could not be
+// read (after the usual GET retries), so whether the server holds such a
+// job is unknown — not that it holds none.
+func (c *Client) FindByFingerprint(ctx context.Context, fingerprint string) (Status, bool, error) {
 	var all []Status
 	if err := c.getJSON(ctx, "/v1/jobs", &all); err != nil {
-		return Status{}, false
+		return Status{}, false, err
 	}
 	found := false
 	var best Status
@@ -236,7 +255,7 @@ func (c *Client) FindByFingerprint(ctx context.Context, fingerprint string) (Sta
 			best, found = st, true
 		}
 	}
-	return best, found
+	return best, found, nil
 }
 
 // Get returns a job's status, retrying transient failures.

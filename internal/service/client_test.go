@@ -77,6 +77,52 @@ func TestClientSubmitIdempotentAcrossConnectionLoss(t *testing.T) {
 	}
 }
 
+// TestClientSubmitDoesNotRepostOnUnreadableJobList: the POST's response is
+// torn after the server accepted the job, and so is every read of the job
+// list during the first lookup. A list that cannot be read says nothing
+// about the job, so the client must look again instead of posting a
+// second copy.
+func TestClientSubmitDoesNotRepostOnUnreadableJobList(t *testing.T) {
+	m := newTestManager(t, Options{Workers: 1})
+	srv := httptest.NewServer(NewMux(m, nil))
+	defer srv.Close()
+
+	// Round trip 1 is the POST; 2–4 are the first lookup's list read and
+	// its two retries.
+	in := fault.New(42, fault.Rule{Point: fault.PointRoundTrip, Kind: fault.KindTorn, Calls: []int{1, 2, 3, 4}, TornBytes: 16})
+	t.Log(in.String())
+	c := &Client{
+		BaseURL: srv.URL,
+		HTTP:    &http.Client{Transport: &fault.Transport{In: in}},
+		Retries: 2,
+		Backoff: 5 * time.Millisecond,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	req := tinyRequest(t)
+	st, err := c.Submit(ctx, req)
+	if err != nil {
+		t.Fatalf("submit through the torn wire: %v", err)
+	}
+	fp, err := Fingerprint(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := 0
+	for _, j := range m.List() {
+		if j.Fingerprint == fp {
+			copies++
+		}
+	}
+	if copies != 1 {
+		t.Fatalf("server holds %d jobs for the fingerprint, want 1 — the client re-posted after an unreadable job list", copies)
+	}
+	if st.Fingerprint != fp {
+		t.Fatalf("adopted job has fingerprint %q, want %q", st.Fingerprint, fp)
+	}
+	t.Log(in.Stats())
+}
+
 // TestClientHonorsRetryAfter: a 429 with Retry-After paces the retry at
 // the server-directed delay rather than the client's own backoff.
 func TestClientHonorsRetryAfter(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -48,12 +49,23 @@ type apiServer struct {
 	mgr *Manager
 }
 
-func (a *apiServer) submit(w http.ResponseWriter, r *http.Request) {
+// decodeRequest reads a POST /v1/jobs body. Unknown fields are rejected,
+// so a misspelled parameter fails loudly instead of planning with a
+// default.
+func decodeRequest(body io.Reader) (Request, error) {
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("request body: %v", err))
+		return Request{}, fmt.Errorf("request body: %w", err)
+	}
+	return req, nil
+}
+
+func (a *apiServer) submit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if r.URL.Query().Get("certify") == "1" {

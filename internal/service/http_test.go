@@ -410,3 +410,30 @@ func TestHTTPDrainAndRestartReServes(t *testing.T) {
 func timeoutCtx(d time.Duration) (ctx context.Context, cancel context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
 }
+
+// FuzzJobRequest feeds arbitrary bytes through the POST /v1/jobs body
+// decode and the request checks Submit runs before it queues anything:
+// base resolution, delta derivation, problem decode and validation,
+// planner-config validation and fingerprinting. Untrusted bodies of any
+// shape must be rejected with an error, never a panic.
+func FuzzJobRequest(f *testing.F) {
+	full, err := json.Marshal(tinyRequest(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add([]byte(`{"problem":{},"params":{"epochs":-1}}`))
+	f.Add([]byte(`{"base":"0123456789abcdef","delta":{"removeFlows":[0]}}`))
+	f.Add([]byte(`{"problem":{"connections":{"vertices":[{"id":0,"kind":"es"}]}},"delta":{},"base":"x"}`))
+	f.Add([]byte(`{"unknown":1}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decodeRequest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if _, err := Fingerprint(req); err != nil {
+			return
+		}
+	})
+}
