@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"time"
 )
 
 // policyBatcher synchronizes the exploration workers' per-step policy
@@ -37,6 +38,11 @@ type policyBatcher struct {
 	values []float64   // batched critic results, parallel to obs
 	outs   []*float64  // caller-owned value destinations, parallel to obs
 	gen    uint64      // incremented when a batch completes; waiters key on it
+
+	// forward is the wall-clock of the batched forwards; wait is the time
+	// workers spent in eval other than running a forward themselves.
+	// Both are lifetime sums, read through times.
+	forward, wait time.Duration
 }
 
 // newPolicyBatcher builds a batcher evaluating on the given (shared) nets.
@@ -68,24 +74,38 @@ func (b *policyBatcher) depart() {
 // returning fresh slices keeps the step loop allocation-free). Must be
 // called between join and depart.
 func (b *policyBatcher) eval(obs *Obs, logitsDst []float64, valueDst *float64) {
+	start := time.Now()
 	b.mu.Lock()
 	b.obs = append(b.obs, obs)
 	b.logits = append(b.logits, logitsDst)
 	b.outs = append(b.outs, valueDst)
 	gen := b.gen
-	b.maybeRunLocked()
+	ran := b.maybeRunLocked()
 	for b.gen == gen {
 		b.cond.Wait()
 	}
+	b.wait += time.Since(start) - ran
 	b.mu.Unlock()
 }
 
+// times returns the lifetime sums of batched-forward and worker-wait
+// wall-clock; both are zero for a nil (unbatched) batcher.
+func (b *policyBatcher) times() (forward, wait time.Duration) {
+	if b == nil {
+		return 0, 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.forward, b.wait
+}
+
 // maybeRunLocked runs the pending batch when every active worker is
-// waiting on it. Called with mu held.
-func (b *policyBatcher) maybeRunLocked() {
+// waiting on it and returns how long its forward took (zero when it did
+// not run). Called with mu held.
+func (b *policyBatcher) maybeRunLocked() time.Duration {
 	n := len(b.obs)
 	if n == 0 || n < b.active {
-		return
+		return 0
 	}
 	if cap(b.values) < n {
 		b.values = make([]float64, n)
@@ -93,7 +113,10 @@ func (b *policyBatcher) maybeRunLocked() {
 	b.values = b.values[:n]
 	// The forward runs on the triggering worker's goroutine while the
 	// others wait on cond; the lock serializes all access to nets.
+	start := time.Now()
 	b.nets.ForwardPolicyValueBatch(b.obs, b.logits, b.values)
+	took := time.Since(start)
+	b.forward += took
 	for i, out := range b.outs {
 		*out = b.values[i]
 	}
@@ -102,4 +125,5 @@ func (b *policyBatcher) maybeRunLocked() {
 	b.outs = b.outs[:0]
 	b.gen++
 	b.cond.Broadcast()
+	return took
 }

@@ -70,6 +70,13 @@ type EpochStats struct {
 	// collection.
 	ExploreTime time.Duration `json:",omitempty"`
 	UpdateTime  time.Duration `json:",omitempty"`
+	// PolicyForwardTime is the wall-clock of the batched policy/value
+	// forwards run during exploration; PolicyWaitTime sums, over workers,
+	// the time spent in the batch barrier waiting for the batch to fill
+	// and for another worker's forward. Both are zero when exploration is
+	// unbatched.
+	PolicyForwardTime time.Duration `json:",omitempty"`
+	PolicyWaitTime    time.Duration `json:",omitempty"`
 	// AnalysisTime is the failure-analysis wall-clock summed across the
 	// epoch's workers — the Algorithm 3 share of the epoch cost.
 	AnalysisTime time.Duration `json:",omitempty"`
@@ -469,6 +476,7 @@ func (p *Planner) PlanContext(ctx context.Context) (*Report, error) {
 		epochStart := time.Now()
 		d0, h0, m0 := sumAnalysis()
 		r0, n0 := sumEnv()
+		f0, w0 := batch.times()
 		var wg sync.WaitGroup
 		for i, w := range workers {
 			w.buf = rl.NewBuffer(p.cfg.Discount, p.cfg.GAELambda)
@@ -508,6 +516,8 @@ func (p *Planner) PlanContext(ctx context.Context) (*Report, error) {
 			}
 		}
 		es.ExploreTime = time.Since(epochStart)
+		f1, w1 := batch.times()
+		es.PolicyForwardTime, es.PolicyWaitTime = f1-f0, w1-w0
 
 		merged := rl.NewBuffer(p.cfg.Discount, p.cfg.GAELambda)
 		for _, w := range workers {

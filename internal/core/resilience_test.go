@@ -19,6 +19,8 @@ func stripDurations(es []EpochStats) []EpochStats {
 		out[i].Duration = 0
 		out[i].ExploreTime = 0
 		out[i].UpdateTime = 0
+		out[i].PolicyForwardTime = 0
+		out[i].PolicyWaitTime = 0
 		out[i].AnalysisTime = 0
 		out[i].AnalysisCacheHits = 0
 		out[i].AnalysisCacheMisses = 0

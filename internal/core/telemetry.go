@@ -141,30 +141,32 @@ func epochEvent(es EpochStats) obsv.Event {
 		Type:  obsv.EventEpoch,
 		Epoch: es.Epoch,
 		V: map[string]float64{
-			"reward":           es.Reward,
-			"policy_loss":      es.PolicyLoss,
-			"value_loss":       es.ValueLoss,
-			"entropy":          es.Entropy,
-			"approx_kl":        es.ApproxKL,
-			"clip_fraction":    es.ClipFraction,
-			"pi_iters":         float64(es.PolicyIters),
-			"early_stopped":    b2f(es.EarlyStopped),
-			"adam_steps":       float64(es.AdamSteps),
-			"trajectories":     float64(es.Trajectories),
-			"solutions":        float64(es.Solutions),
-			"dead_ends":        float64(es.DeadEnds),
-			"env_steps":        float64(es.EnvSteps),
-			"env_resets":       float64(es.EnvResets),
-			"best_cost":        es.BestCost,
-			"duration_seconds": es.Duration.Seconds(),
-			"explore_seconds":  es.ExploreTime.Seconds(),
-			"update_seconds":   es.UpdateTime.Seconds(),
-			"analysis_seconds": es.AnalysisTime.Seconds(),
-			"nbf_calls":        float64(es.NBFCalls),
-			"cache_hits":       float64(es.AnalysisCacheHits),
-			"cache_misses":     float64(es.AnalysisCacheMisses),
-			"divergences":      float64(es.Divergences),
-			"panics":           float64(len(es.Panics)),
+			"reward":                 es.Reward,
+			"policy_loss":            es.PolicyLoss,
+			"value_loss":             es.ValueLoss,
+			"entropy":                es.Entropy,
+			"approx_kl":              es.ApproxKL,
+			"clip_fraction":          es.ClipFraction,
+			"pi_iters":               float64(es.PolicyIters),
+			"early_stopped":          b2f(es.EarlyStopped),
+			"adam_steps":             float64(es.AdamSteps),
+			"trajectories":           float64(es.Trajectories),
+			"solutions":              float64(es.Solutions),
+			"dead_ends":              float64(es.DeadEnds),
+			"env_steps":              float64(es.EnvSteps),
+			"env_resets":             float64(es.EnvResets),
+			"best_cost":              es.BestCost,
+			"duration_seconds":       es.Duration.Seconds(),
+			"explore_seconds":        es.ExploreTime.Seconds(),
+			"update_seconds":         es.UpdateTime.Seconds(),
+			"policy_forward_seconds": es.PolicyForwardTime.Seconds(),
+			"policy_wait_seconds":    es.PolicyWaitTime.Seconds(),
+			"analysis_seconds":       es.AnalysisTime.Seconds(),
+			"nbf_calls":              float64(es.NBFCalls),
+			"cache_hits":             float64(es.AnalysisCacheHits),
+			"cache_misses":           float64(es.AnalysisCacheMisses),
+			"divergences":            float64(es.Divergences),
+			"panics":                 float64(len(es.Panics)),
 		},
 	}
 }

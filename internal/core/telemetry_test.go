@@ -95,13 +95,18 @@ func TestTrainingWithMetricsAndEvents(t *testing.T) {
 		}
 		if e.V["reward"] != es.Reward || e.V["env_steps"] != float64(es.EnvSteps) ||
 			e.V["solutions"] != float64(es.Solutions) ||
-			e.V["explore_seconds"] != es.ExploreTime.Seconds() || e.V["update_seconds"] != es.UpdateTime.Seconds() {
+			e.V["explore_seconds"] != es.ExploreTime.Seconds() || e.V["update_seconds"] != es.UpdateTime.Seconds() ||
+			e.V["policy_forward_seconds"] != es.PolicyForwardTime.Seconds() || e.V["policy_wait_seconds"] != es.PolicyWaitTime.Seconds() {
 			t.Fatalf("epoch %d event disagrees with report: %v vs %+v", e.Epoch, e.V, es)
 		}
 		// The parts are measured inside the epoch's wall clock, so the
 		// residual Duration − ExploreTime − UpdateTime is never negative.
 		if es.ExploreTime <= 0 || es.UpdateTime <= 0 || es.ExploreTime+es.UpdateTime > es.Duration {
 			t.Fatalf("epoch %d: explore %v + update %v do not fit its %v", e.Epoch, es.ExploreTime, es.UpdateTime, es.Duration)
+		}
+		// Batched forwards run one at a time inside exploration.
+		if es.PolicyForwardTime <= 0 || es.PolicyForwardTime > es.ExploreTime || es.PolicyWaitTime < 0 {
+			t.Fatalf("epoch %d: policy forward %v, wait %v in exploration %v", e.Epoch, es.PolicyForwardTime, es.PolicyWaitTime, es.ExploreTime)
 		}
 	}
 }

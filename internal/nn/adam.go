@@ -51,17 +51,32 @@ func (a *Adam) Step(ps []Param) {
 		}
 	}
 	a.step++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	c := adamCoef{
+		b1: a.Beta1, c1: 1 - a.Beta1, b2: a.Beta2, c2: 1 - a.Beta2,
+		bc1: 1 - math.Pow(a.Beta1, float64(a.step)),
+		bc2: 1 - math.Pow(a.Beta2, float64(a.step)),
+		lr:  a.LR, eps: a.Epsilon,
+	}
 	for i, p := range ps {
-		m, v := a.m[i], a.v[i]
-		for j, g := range p.Grad.Data {
-			m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*g
-			v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*g*g
-			mHat := m.Data[j] / bc1
-			vHat := v.Data[j] / bc2
-			p.Value.Data[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
-		}
+		adamUpdate(p.Value.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data, &c)
+	}
+}
+
+// adamCoef holds one step's Adam coefficients, in the layout the assembly
+// reads: β1, 1−β1, β2, 1−β2, the two bias corrections, the learning rate
+// and ε.
+type adamCoef struct{ b1, c1, b2, c2, bc1, bc2, lr, eps float64 }
+
+// adamGo applies one Adam step to the parameters p with gradients g and
+// moments m, v (all of p's length).
+func adamGo(p, g, m, v []float64, c *adamCoef) {
+	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
+	for j, gj := range g {
+		m[j] = c.b1*m[j] + c.c1*gj
+		v[j] = c.b2*v[j] + c.c2*gj*gj
+		mHat := m[j] / c.bc1
+		vHat := v[j] / c.bc2
+		p[j] -= c.lr * mHat / (math.Sqrt(vHat) + c.eps)
 	}
 }
 

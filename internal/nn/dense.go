@@ -93,7 +93,7 @@ func (a Activation) backwardInto(dst, dY, y *Matrix) {
 // returned matrices are owned by the layer and valid until its next
 // Forward/Backward call; callers that retain results must copy them.
 // Backward consumes the forward cache (it overwrites the activations with
-// dY ⊙ σ'), so it runs at most once per Forward.
+// dY ⊙ σ'), so it runs at most once per Forward: a second call panics.
 type Dense struct {
 	In, Out int
 	Act     Activation
@@ -108,6 +108,7 @@ type Dense struct {
 	y     *Matrix   // activations: xW + b, then σ of it in place
 	dX    *Matrix   // backward scratch: returned input gradient
 	acc   []float64 // backward scratch: one row of xᵀ dZ
+	wT    []float64 // backward scratch: a tile of Wᵀ
 }
 
 // NewDense builds a dense layer with Xavier-initialized weights.
@@ -158,7 +159,8 @@ func (d *Dense) Backward(dY *Matrix) *Matrix {
 			d.gradB.Data[c] += dZ.Data[r*dZ.Cols+c]
 		}
 	}
-	matMulBTInto(d.dX, dZ, d.W)
+	matMulBTInto(d.dX, dZ, d.W, &d.wT)
+	d.lastX = nil // the activations now hold dZ, not a forward cache
 	return d.dX
 }
 

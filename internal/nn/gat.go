@@ -61,6 +61,7 @@ type GATLayer struct {
 	dZ        *Matrix
 	dH        *Matrix
 	acc       []float64 // one row of Hᵀ dZ
+	wT        []float64 // a tile of Wᵀ
 	dSrc      []float64
 	dDst      []float64
 	dAlphaRow []float64
@@ -229,7 +230,7 @@ func (l *GATLayer) Backward(dY *Matrix) *Matrix {
 	}
 
 	matMulATAddInto(l.gradW, l.lastH, dZ, &l.acc)
-	matMulBTInto(l.dH, dZ, l.W)
+	matMulBTInto(l.dH, dZ, l.W, &l.wT)
 	return l.dH
 }
 

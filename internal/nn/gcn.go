@@ -56,6 +56,7 @@ type GCNLayer struct {
 	dZW *Matrix   // backward scratch: dZ Wᵀ
 	dH  *Matrix   // backward scratch: returned input gradient
 	acc []float64 // backward scratch: one row of (ŜH)ᵀ dZ
+	wT  []float64 // backward scratch: a tile of Wᵀ
 
 	blockSH, blockY []float64 // Ŝ H and activations of one batch observation
 }
@@ -93,7 +94,7 @@ func (l *GCNLayer) Backward(dY *Matrix) *Matrix {
 	}
 	l.Act.backwardInto(l.dZ, dY, l.y)
 	matMulATAddInto(l.gradW, l.sh, l.dZ, &l.acc)
-	matMulBTInto(l.dZW, l.dZ, l.W)
+	matMulBTInto(l.dZW, l.dZ, l.W, &l.wT)
 	MatMulInto(l.dH, l.lastS, l.dZW)
 	return l.dH
 }
@@ -146,10 +147,7 @@ func (s *colSparse) mulInto(dst []float64, b int, w []float64, k int) {
 	for c := 0; c < s.f; c++ {
 		wrow := w[c*k : (c+1)*k]
 		for e := s.off[b*s.f+c]; e < s.off[b*s.f+c+1]; e++ {
-			v, orow := s.val[e], dst[int(s.row[e])*k:][:len(wrow)]
-			for j, wv := range wrow {
-				orow[j] += v * wv
-			}
+			axpy(dst[int(s.row[e])*k:][:k], s.val[e], wrow)
 		}
 	}
 }
@@ -162,10 +160,7 @@ func (s *colSparse) atAdd(dst []float64, b int, dZ []float64, k int, acc *[]floa
 	for c := 0; c < s.f; c++ {
 		clear(row)
 		for e := s.off[b*s.f+c]; e < s.off[b*s.f+c+1]; e++ {
-			v, zrow := s.val[e], dZ[int(s.row[e])*k:][:len(row)]
-			for j, zv := range zrow {
-				row[j] += v * zv
-			}
+			axpy(row, s.val[e], dZ[int(s.row[e])*k:])
 		}
 		orow := dst[c*k : (c+1)*k][:len(row)]
 		for j, v := range row {
@@ -362,7 +357,7 @@ func (g *GCN) BackwardBatch(dY *Matrix) {
 			}
 			matMulATAdd(l.gradW.Data, l.blockSH, g.dZ, l.In, l.Out, &g.acc)
 			g.dZW = ensureLen(g.dZW, n*l.In)
-			matMulBT(g.dZW, g.dZ, l.W.Data, l.Out, l.In)
+			matMulBT(g.dZW, g.dZ, l.W.Data, l.Out, l.In, &l.wT)
 			g.dH = ensureLen(g.dH, n*l.In)
 			matMul(g.dH, s[b].Data, g.dZW, n, l.In)
 			d = g.dH

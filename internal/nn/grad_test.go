@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -61,6 +63,35 @@ func TestDenseGradientMatchesFiniteDifference(t *testing.T) {
 	dY.ScaleInPlace(2)
 	layer.Backward(dY)
 	assertGradsClose(t, layer.Params(), numeric, 1e-5)
+}
+
+// TestDenseSecondBackwardPanics: Backward overwrites the activations with
+// dY ⊙ σ', so a second call without a Forward would differentiate that
+// instead of the forward cache and silently add a wrong gradient. It must
+// panic, leaving the first call's gradient alone.
+func TestDenseSecondBackwardPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	layer := NewDense(rng, 4, 3, Tanh)
+	x := NewMatrix(2, 4)
+	x.XavierInit(rng, 4, 3)
+	dY := layer.Forward(x).Clone()
+	layer.Backward(dY)
+	want := layer.Params()[0].Grad.Clone()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("second Backward without a Forward did not panic")
+		}
+		if !strings.Contains(fmt.Sprint(r), "dense backward before forward") {
+			t.Fatalf("unhelpful panic: %v", r)
+		}
+		for i, g := range layer.Params()[0].Grad.Data {
+			if g != want.Data[i] {
+				t.Fatalf("weight gradient %d changed: %v, want %v", i, g, want.Data[i])
+			}
+		}
+	}()
+	layer.Backward(dY)
 }
 
 func TestDenseInputGradientMatchesFiniteDifference(t *testing.T) {

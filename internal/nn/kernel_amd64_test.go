@@ -1,0 +1,216 @@
+package nn
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The AVX2 kernels must reproduce the Go loops bit for bit. Every check
+// below runs one product twice, once on each path, and compares
+// Float64bits element by element. NaN results only need to be NaN on both
+// sides: when both operands of an operation are NaN, x86 keeps the first
+// one's payload, and the Go compiler orders the operands of the reference
+// loops as it sees fit (matMulBT's dot products differ among themselves),
+// so payloads are not part of the contract.
+
+// kernelValues yields kernel operands from a byte stream: mostly small
+// values, with ±0, NaN, ±Inf, subnormals, large magnitudes and raw bit
+// patterns mixed in. An exhausted stream yields zeros.
+type kernelValues struct{ data []byte }
+
+func (r *kernelValues) byte() byte {
+	if len(r.data) == 0 {
+		return 0
+	}
+	b := r.data[0]
+	r.data = r.data[1:]
+	return b
+}
+
+func (r *kernelValues) next() float64 {
+	switch s := r.byte(); {
+	case s < 64:
+		return 0
+	case s < 72:
+		return math.Copysign(0, -1)
+	case s < 76:
+		return math.NaN()
+	case s < 80:
+		return math.Inf(1)
+	case s < 84:
+		return math.Inf(-1)
+	case s < 88:
+		return 5e-324 * float64(int(r.byte())-128)
+	case s < 92:
+		return math.Ldexp(float64(int(r.byte())-128), 1000)
+	case s < 100:
+		var b [8]byte
+		for i := range b {
+			b[i] = r.byte()
+		}
+		return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	default:
+		return float64(int(r.byte())-128) / float64(int(s)-90)
+	}
+}
+
+func (r *kernelValues) fill(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = r.next()
+	}
+	return v
+}
+
+// bothPaths runs f on the Go loops, then on the assembly, restoring the
+// selection afterwards.
+func bothPaths(f func()) {
+	saved := useAsm
+	defer func() { useAsm = saved }()
+	useAsm = false
+	f()
+	useAsm = true
+	f()
+}
+
+func sameBits(t *testing.T, what string, want, got []float64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d outputs vs %d", what, len(want), len(got))
+	}
+	for i, w := range want {
+		g := got[i]
+		if math.IsNaN(w) && math.IsNaN(g) {
+			continue
+		}
+		if math.Float64bits(w) != math.Float64bits(g) {
+			t.Fatalf("%s: element %d: Go %v (%#x), asm %v (%#x)", what, i, w, math.Float64bits(w), g, math.Float64bits(g))
+		}
+	}
+}
+
+// checkKernels compares both paths on every product of the package for an
+// m×k by k×n shape whose operands come from r (ldb ≥ n pads b's rows), and
+// on an Adam step over n parameters.
+func checkKernels(t *testing.T, r *kernelValues, m, k, n, ldb int) {
+	t.Helper()
+	shape := fmt.Sprintf("m=%d k=%d n=%d ldb=%d", m, k, n, ldb)
+	a, b := r.fill(m*k), r.fill(k*n)
+	var outs [2][]float64
+
+	// matMul: dst (m×n) = a (m×k) × b (k×n).
+	path := 0
+	bothPaths(func() {
+		outs[path] = r.fill(m * n) // garbage the product must overwrite
+		matMul(outs[path], a, b, k, n)
+		path++
+	})
+	sameBits(t, "matMul "+shape, outs[0], outs[1])
+
+	// rowProduct with padded b rows: one row of a×b[:, :n].
+	if k > 0 {
+		bp := r.fill((k-1)*ldb + n)
+		path = 0
+		bothPaths(func() {
+			outs[path] = make([]float64, n)
+			rowProduct(outs[path], a, k, 1, bp, ldb)
+			path++
+		})
+		sameBits(t, "rowProduct "+shape, outs[0], outs[1])
+	}
+
+	// matMulATAdd: dst (k×n) += aᵀ (k×m) × c (m×n), a read down its
+	// columns (stride k).
+	c, dst0 := r.fill(m*n), r.fill(k*n)
+	path = 0
+	bothPaths(func() {
+		outs[path] = append([]float64(nil), dst0...)
+		var acc []float64
+		matMulATAdd(outs[path], a, c, k, n, &acc)
+		path++
+	})
+	sameBits(t, "matMulATAdd "+shape, outs[0], outs[1])
+
+	// dZ·Wᵀ: dst (m×n) = a (m×k) × wᵀ for w (n×k), the Go path's dot
+	// products against the asm path's row kernel on a transposed copy.
+	w := r.fill(n * k)
+	path = 0
+	bothPaths(func() {
+		outs[path] = r.fill(m * n)
+		var bt []float64
+		matMulBT(outs[path], a, w, k, n, &bt)
+		path++
+	})
+	sameBits(t, "matMulBT "+shape, outs[0], outs[1])
+
+	// colSparse: a stored as one m×k block, times b, and its transpose
+	// times c added into dst.
+	var s colSparse
+	s.reset(m, k, m*k)
+	s.appendBlock(a)
+	path = 0
+	bothPaths(func() {
+		outs[path] = r.fill(m * n)
+		s.mulInto(outs[path], 0, b, n)
+		path++
+	})
+	sameBits(t, "colSparse.mulInto "+shape, outs[0], outs[1])
+	dst1 := r.fill(k * n)
+	path = 0
+	bothPaths(func() {
+		outs[path] = append([]float64(nil), dst1...)
+		var acc []float64
+		s.atAdd(outs[path], 0, c, n, &acc)
+		path++
+	})
+	sameBits(t, "colSparse.atAdd "+shape, outs[0], outs[1])
+
+	// Adam: one step on n parameters, with coefficients from r too.
+	p, g, mom, vel := r.fill(n), r.fill(n), r.fill(n), r.fill(n)
+	coef := adamCoef{b1: 0.9, c1: 1 - 0.9, b2: 0.999, c2: 1 - 0.999, bc1: 0.1, bc2: 0.001, lr: r.next(), eps: 1e-8}
+	var moms, vels [2][]float64
+	path = 0
+	bothPaths(func() {
+		outs[path] = append([]float64(nil), p...)
+		moms[path], vels[path] = append([]float64(nil), mom...), append([]float64(nil), vel...)
+		adamUpdate(outs[path], g, moms[path], vels[path], &coef)
+		path++
+	})
+	sameBits(t, "adam params "+shape, outs[0], outs[1])
+	sameBits(t, "adam first moments "+shape, moms[0], moms[1])
+	sameBits(t, "adam second moments "+shape, vels[0], vels[1])
+}
+
+// TestKernelsMatchGoBitForBit covers every tail length 0–67 (both vector
+// tile widths and the Go tail of up to 3 columns), padded b rows, and
+// operands laced with ±0, NaN, ±Inf, subnormals and zero a elements.
+func TestKernelsMatchGoBitForBit(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2 on this CPU")
+	}
+	rng := rand.New(rand.NewSource(15))
+	for n := 0; n <= 67; n++ {
+		for _, k := range []int{0, 1, 3, 8} {
+			data := make([]byte, 1<<14)
+			rng.Read(data)
+			checkKernels(t, &kernelValues{data}, 1+rng.Intn(3), k, n, n+rng.Intn(3))
+		}
+	}
+}
+
+// FuzzNNKernels drives checkKernels with fuzzer-chosen shapes and operand
+// bytes.
+func FuzzNNKernels(f *testing.F) {
+	if !hasAVX2 {
+		f.Skip("no AVX2 on this CPU")
+	}
+	f.Add(uint8(2), uint8(5), uint8(37), uint8(1), []byte{1, 2, 3, 70, 74, 78, 82, 86, 9, 90, 7, 95})
+	f.Add(uint8(1), uint8(0), uint8(4), uint8(0), []byte{})
+	f.Add(uint8(3), uint8(9), uint8(67), uint8(5), []byte{0, 0, 200, 150, 74, 74, 250})
+	f.Fuzz(func(t *testing.T, m, k, n, pad uint8, data []byte) {
+		checkKernels(t, &kernelValues{data}, 1+int(m%4), int(k%17), int(n%70), int(n%70)+int(pad%4))
+	})
+}

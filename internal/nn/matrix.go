@@ -122,25 +122,13 @@ func MatMulInto(dst, a, b *Matrix) {
 }
 
 // matMul is MatMulInto on row-major slices: dst (m×n) = a (m×k) × b (k×n),
-// with m = len(dst)/n. It is also applied to one row block of a row-stacked
-// batch at a time (a per-observation Ŝ times that observation's rows).
+// with m = len(dst)/n, one rowProduct per output row. It is also applied
+// to one row block of a row-stacked batch at a time (a per-observation Ŝ
+// times that observation's rows).
 func matMul(dst, a, b []float64, k, n int) {
-	for i := range dst {
-		dst[i] = 0
-	}
 	m := len(dst) / max(n, 1)
 	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := dst[i*n : (i+1)*n]
-		for kk, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b[kk*n : (kk+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
+		rowProduct(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], k, 1, b, n)
 	}
 }
 
@@ -161,25 +149,14 @@ func matMulATAddInto(dst, a, b *Matrix, acc *[]float64) {
 	matMulATAdd(dst.Data, a.Data, b.Data, a.Cols, b.Cols, acc)
 }
 
-// matMulATAdd is matMulATAddInto on row-major slices, with r = len(a)/m.
+// matMulATAdd is matMulATAddInto on row-major slices, with r = len(a)/m:
+// row i of the product is the rowProduct of column i of a (stride m).
 func matMulATAdd(dst, a, b []float64, m, n int, acc *[]float64) {
 	*acc = ensureLen(*acc, n)
 	row := *acc
 	rows := len(a) / max(m, 1)
 	for i := 0; i < m; i++ {
-		for j := range row {
-			row[j] = 0
-		}
-		for k := 0; k < rows; k++ {
-			av := a[k*m+i]
-			if av == 0 {
-				continue
-			}
-			brow := b[k*n : (k+1)*n][:len(row)]
-			for j, bv := range brow {
-				row[j] += av * bv
-			}
-		}
+		rowProduct(row, a[min(i, len(a)):], rows, m, b, n)
 		orow := dst[i*n : (i+1)*n][:len(row)]
 		for j, v := range row {
 			orow[j] += v
@@ -187,12 +164,12 @@ func matMulATAdd(dst, a, b []float64, m, n int, acc *[]float64) {
 	}
 }
 
-// matMulBTInto computes dst = a×bᵀ without materializing the transpose.
-// Each element is the dot product of a row of a with a row of b, summed
-// over k in order from zero and skipping zero elements of a — the
-// operation sequence of MatMulInto(dst, a, b.Transpose()), so results are
-// bit-identical to it.
-func matMulBTInto(dst, a, b *Matrix) {
+// matMulBTInto computes dst = a×bᵀ. Each element is the dot product of a
+// row of a with a row of b, summed over k in order from zero and skipping
+// zero elements of a — the operation sequence of MatMulInto(dst, a,
+// b.Transpose()), so results are bit-identical to it. *bt is transpose
+// scratch for the vector path (grown on first use).
+func matMulBTInto(dst, a, b *Matrix, bt *[]float64) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: matmul(a,bT) inner dims %d vs %d", a.Cols, b.Cols))
 	}
@@ -200,15 +177,34 @@ func matMulBTInto(dst, a, b *Matrix) {
 		panic("nn: matmul destination aliases an operand")
 	}
 	dst.EnsureShape(a.Rows, b.Rows)
-	matMulBT(dst.Data, a.Data, b.Data, a.Cols, b.Rows)
+	matMulBT(dst.Data, a.Data, b.Data, a.Cols, b.Rows, bt)
 }
 
+// btTile is how many rows of b matMulBT transposes at a time on the
+// vector path: the row kernel's widest column tile.
+const btTile = 32
+
 // matMulBT is matMulBTInto on row-major slices: dst (m×n) = a (m×k) ×
-// bᵀ for b (n×k). Both operands are read along contiguous rows, and a 2×4
+// bᵀ for b (n×k). On the vector path btTile rows of b at a time are
+// transposed into *bt (k×btTile, grown on first use) and every row of a
+// runs the row product against them, giving btTile columns of dst.
+// Otherwise both operands are read along contiguous rows, and a 2×4
 // block of outputs is kept in registers, so each loaded element of a
 // feeds four products and each element of b two.
-func matMulBT(dst, a, b []float64, k, n int) {
+func matMulBT(dst, a, b []float64, k, n int, bt *[]float64) {
 	m := len(dst) / max(n, 1)
+	if useAsm && n >= 4 {
+		*bt = ensureLen(*bt, k*min(n, btTile))
+		for j0 := 0; j0 < n; j0 += btTile {
+			w := min(btTile, n-j0)
+			t := (*bt)[:k*w]
+			transpose(t, b[j0*k:(j0+w)*k], w, k)
+			for i := 0; i < m; i++ {
+				rowProduct(dst[i*n+j0:i*n+j0+w], a[i*k:(i+1)*k], k, 1, t, w)
+			}
+		}
+		return
+	}
 	i := 0
 	for ; i+2 <= m; i += 2 {
 		a0 := a[i*k : (i+1)*k]
@@ -254,6 +250,22 @@ func matMulBT(dst, a, b []float64, k, n int) {
 	}
 }
 
+// transpose writes the r×c row-major src into dst as c×r, in 8×8 tiles so
+// that the strided writes of one tile stay within a few cache lines.
+func transpose(dst, src []float64, r, c int) {
+	const tile = 8
+	for i0 := 0; i0 < r; i0 += tile {
+		for j0 := 0; j0 < c; j0 += tile {
+			j1 := min(j0+tile, c)
+			for i := i0; i < min(i0+tile, r); i++ {
+				for j, v := range src[i*c+j0 : i*c+j1] {
+					dst[(j0+j)*r+i] = v
+				}
+			}
+		}
+	}
+}
+
 // dotSkip returns Σ a[k]·b[k] summed in order from zero, skipping zero
 // elements of a.
 func dotSkip(a, b []float64) float64 {
@@ -270,11 +282,7 @@ func dotSkip(a, b []float64) float64 {
 // Transpose returns mᵀ.
 func (m *Matrix) Transpose() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
-		}
-	}
+	transpose(out.Data, m.Data, m.Rows, m.Cols)
 	return out
 }
 

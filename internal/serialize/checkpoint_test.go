@@ -85,6 +85,8 @@ func TestCheckpointFileRoundTripResume(t *testing.T) {
 		a.Duration, b.Duration = 0, 0
 		a.ExploreTime, b.ExploreTime = 0, 0
 		a.UpdateTime, b.UpdateTime = 0, 0
+		a.PolicyForwardTime, b.PolicyForwardTime = 0, 0
+		a.PolicyWaitTime, b.PolicyWaitTime = 0, 0
 		a.AnalysisTime, b.AnalysisTime = 0, 0
 		a.AnalysisCacheHits, b.AnalysisCacheHits = 0, 0
 		a.AnalysisCacheMisses, b.AnalysisCacheMisses = 0, 0
