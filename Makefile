@@ -136,8 +136,12 @@ fuzz:
 coverage:
 	$(GO) test -cover ./...
 
+# Non-test Go lines outside perfbench/ (the figure ROADMAP quotes): the
+# total, then each package, largest first.
 loc:
-	@find . -name '*.go' | xargs wc -l | tail -1
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); if (d == "") d = "."; pkg[d] += $$1; t += $$1 } \
+	END { printf "%6d total\n", t; for (d in pkg) printf "%6d %s\n", pkg[d], d | "sort -rn" }'
 
 clean:
 	$(GO) clean -testcache

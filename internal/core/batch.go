@@ -24,8 +24,8 @@ import (
 // row-wise bit-identical to single-observation forwards, every worker
 // samples from its own RNG stream, and the networks only change weights at
 // the epoch boundary (after all workers left the barrier). Scheduling
-// nondeterminism therefore cannot leak into trajectories — the batched-
-// equals-unbatched differential suite asserts exactly that.
+// nondeterminism therefore cannot leak into trajectories —
+// TestExplorationIndependentOfBatchComposition asserts exactly that.
 type policyBatcher struct {
 	nets *Nets
 
@@ -89,11 +89,8 @@ func (b *policyBatcher) eval(obs *Obs, logitsDst []float64, valueDst *float64) {
 }
 
 // times returns the lifetime sums of batched-forward and worker-wait
-// wall-clock; both are zero for a nil (unbatched) batcher.
+// wall-clock.
 func (b *policyBatcher) times() (forward, wait time.Duration) {
-	if b == nil {
-		return 0, 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.forward, b.wait

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // TestForwardPolicyValueBatchMatchesSingle is the contract the batched
@@ -78,21 +80,29 @@ func TestForwardPolicyValueBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestBatchedExplorationMatchesUnbatched is the differential determinism
-// suite for the exploration barrier: with per-worker RNG streams and
-// bit-identical batched forwards, training with the policy batcher must
-// reproduce the unbatched trajectory exactly — same rewards, losses,
-// counts and best cost — across seeds and worker counts.
-func TestBatchedExplorationMatchesUnbatched(t *testing.T) {
+// TestExplorationIndependentOfBatchComposition is the differential
+// determinism suite for the exploration barrier. One run is plain: the
+// workers reach the barrier together and share batched forwards. In the
+// other, ExploreHook holds worker w for w×20 ms at the start of every
+// round — well over a tiny epoch's exploration — so each worker explores
+// alone in batches of one. With per-worker RNG streams and row-wise
+// bit-identical batched forwards, both runs must train the same
+// trajectory: same rewards, losses, counts and best cost.
+func TestExplorationIndependentOfBatchComposition(t *testing.T) {
 	prob := tinyProblem(t)
 	for _, seed := range []int64{1, 23} {
-		for _, workers := range []int{1, 2, 4} {
+		for _, workers := range []int{2, 4} {
 			cfg := tinyConfig()
 			cfg.Seed = seed
 			cfg.Workers = workers
-			unbatched := cfg
-			unbatched.UnbatchedExploration = true
-			want := planOnce(t, prob, unbatched)
+			staggered := cfg
+			staggered.ExploreHook = func(ctx context.Context, _, w int) {
+				select {
+				case <-time.After(time.Duration(w) * 20 * time.Millisecond):
+				case <-ctx.Done():
+				}
+			}
+			want := planOnce(t, prob, staggered)
 			got := planOnce(t, prob, cfg)
 			assertSameTrajectory(t, fmt.Sprintf("seed=%d workers=%d", seed, workers), want, got)
 		}

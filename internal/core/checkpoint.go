@@ -126,9 +126,6 @@ func (p *Planner) restore(ck *Checkpoint, global *Nets, ppo *rl.PPO, workers []*
 		if err := w.env.ImportState(ws.Env, ws.Best); err != nil {
 			return fmt.Errorf("planner: worker %d: %w", i, err)
 		}
-		if w.nets != global { // batched workers share the global nets
-			w.nets.SyncFrom(global)
-		}
 	}
 	report.Epochs = append([]EpochStats(nil), ck.Epochs...)
 	report.Best = ck.Best.Clone()

@@ -78,13 +78,6 @@ type Config struct {
 	// that enumerates shortest paths until K valid ones are found instead
 	// of masking invalid candidates; for ablation only.
 	ExhaustivePathGeneration bool
-	// UnbatchedExploration disables the batched policy-evaluation barrier
-	// and evaluates each worker's observations on its own network replica,
-	// one at a time — the pre-batching execution mode. Trajectories are
-	// bit-identical either way (the differential determinism suite asserts
-	// it); the flag exists for that comparison and as an escape hatch, so
-	// it is deliberately excluded from the checkpoint fingerprint.
-	UnbatchedExploration bool
 	// InitialWeights warm-starts training from a prior run's
 	// Report.FinalWeights (the network architecture must match).
 	InitialWeights [][]float64

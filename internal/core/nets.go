@@ -268,15 +268,9 @@ func (nt *Nets) ForwardPolicyValueBatch(obs []*Obs, logits [][]float64, values [
 	}
 }
 
-// AllParams lists every parameter exactly once (GCN, actor, critic), used
-// for replica synchronization. The returned list is cached; read-only.
+// AllParams lists every parameter exactly once (GCN, actor, critic). The
+// returned list is cached; read-only.
 func (nt *Nets) AllParams() []nn.Param { return nt.allParams }
-
-// SyncFrom copies parameter values from src (replica synchronization after
-// a global update, §IV-C).
-func (nt *Nets) SyncFrom(src *Nets) {
-	nn.CopyParams(nt.AllParams(), src.AllParams())
-}
 
 // ExportWeights snapshots all trainable parameters for persistence or warm
 // starting a later run (Adam moments are not included).

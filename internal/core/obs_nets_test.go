@@ -188,30 +188,6 @@ func TestNetsGradientThroughFullPipeline(t *testing.T) {
 	}
 }
 
-func TestNetsSyncFrom(t *testing.T) {
-	prob := tinyProblem(t)
-	cfg := tinyConfig()
-	soag, _ := NewSOAG(prob, cfg.K)
-	enc := NewEncoder(prob, cfg.K)
-	a, err := NewNets(rand.New(rand.NewSource(1)), enc, soag.ActionSpaceSize(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewNets(rand.New(rand.NewSource(2)), enc, soag.ActionSpaceSize(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SyncFrom(a)
-	pa, pb := a.AllParams(), b.AllParams()
-	for i := range pa {
-		for j := range pa[i].Value.Data {
-			if pa[i].Value.Data[j] != pb[i].Value.Data[j] {
-				t.Fatal("SyncFrom did not copy all parameters")
-			}
-		}
-	}
-}
-
 func TestNetsGCN0FeedsRawFeatures(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyConfig()

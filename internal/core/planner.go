@@ -66,15 +66,13 @@ type EpochStats struct {
 	// the re-collection of quarantined workers' steps; UpdateTime is that
 	// of the PPO update, including watchdog rollbacks and retries. The
 	// residual Duration − ExploreTime − UpdateTime is the epoch's
-	// bookkeeping: buffer merges, replica sync, best-plan and counter
-	// collection.
+	// bookkeeping: buffer merges, best-plan and counter collection.
 	ExploreTime time.Duration `json:",omitempty"`
 	UpdateTime  time.Duration `json:",omitempty"`
 	// PolicyForwardTime is the wall-clock of the batched policy/value
 	// forwards run during exploration; PolicyWaitTime sums, over workers,
 	// the time spent in the batch barrier waiting for the batch to fill
-	// and for another worker's forward. Both are zero when exploration is
-	// unbatched.
+	// and for another worker's forward.
 	PolicyForwardTime time.Duration `json:",omitempty"`
 	PolicyWaitTime    time.Duration `json:",omitempty"`
 	// AnalysisTime is the failure-analysis wall-clock summed across the
@@ -138,17 +136,16 @@ func NewPlanner(prob *Problem, cfg Config) (*Planner, error) {
 	return &Planner{prob: prob, cfg: cfg}, nil
 }
 
-// worker bundles one exploration worker's replica state.
+// worker bundles one exploration worker's environment, RNG stream and
+// step buffer.
 type worker struct {
-	env  *Env
-	nets *Nets
-	src  *rng.Source
-	rng  *rand.Rand
-	buf  *rl.Buffer
+	env *Env
+	src *rng.Source
+	rng *rand.Rand
+	buf *rl.Buffer
 
-	// batch, when non-nil, routes the worker's policy/value evaluations
-	// through the shared batching barrier instead of its own nets (in that
-	// mode nets aliases the global networks and is never called directly).
+	// batch is the barrier shared by all workers: every policy/value
+	// evaluation is one row of a batched forward on the global networks.
 	batch *policyBatcher
 	// scratch holds the worker's action-space vectors: batched logits land
 	// in scratch.Logits, masking/softmax/log-softmax reuse the rest. One
@@ -197,14 +194,12 @@ func (w *worker) copyMask(src []bool) []bool {
 // cancelled, leaving the buffer in an undefined (possibly unfinished)
 // state; the planner discards the whole epoch in that case.
 func (w *worker) explore(ctx context.Context, steps int) {
-	if w.batch != nil {
-		// Join the batching barrier for the duration of this round. The
-		// deferred depart runs on every exit — normal return, error, ctx
-		// cancellation or panic — *before* the planner's panic recovery, so
-		// a dying worker can never strand the others at the barrier.
-		w.batch.join()
-		defer w.batch.depart()
-	}
+	// Join the batching barrier for the duration of this round. The
+	// deferred depart runs on every exit — normal return, error, ctx
+	// cancellation or panic — *before* the planner's panic recovery, so a
+	// dying worker can never strand the others at the barrier.
+	w.batch.join()
+	defer w.batch.depart()
 	for j := 0; j < steps; j++ {
 		if ctx.Err() != nil {
 			w.interrupted = true
@@ -218,26 +213,17 @@ func (w *worker) explore(ctx context.Context, steps int) {
 			w.err = fmt.Errorf("planner: no valid actions from the start state")
 			return
 		}
-		var logits []float64
-		if w.batch != nil {
-			// Blocks until every active worker submitted its observation,
-			// then one batched forward fills logits and batchVal. Row i of
-			// the batch is bit-identical to a single forward of obs[i], and
-			// the action below is drawn from this worker's own RNG stream,
-			// so batch composition cannot influence the trajectory.
-			w.batch.eval(obs, w.scratch.Logits, &w.batchVal)
-			logits = w.scratch.Logits
-		} else {
-			logits = w.nets.ForwardPolicy(obs)
-		}
-		masked := nn.MaskLogitsInto(w.scratch.Masked, logits, mask)
+		// Blocks until every active worker submitted its observation, then
+		// one batched forward fills the logits and batchVal. Row i of the
+		// batch is bit-identical to a single forward of obs[i], and the
+		// action below is drawn from this worker's own RNG stream, so batch
+		// composition cannot influence the trajectory.
+		w.batch.eval(obs, w.scratch.Logits, &w.batchVal)
+		masked := nn.MaskLogitsInto(w.scratch.Masked, w.scratch.Logits, mask)
 		probs := nn.SoftmaxInto(w.scratch.Probs, masked)
 		action := nn.SampleCategorical(w.rng, probs)
 		logp := nn.LogSoftmaxInto(w.scratch.LogProbs, masked)[action]
 		value := w.batchVal
-		if w.batch == nil {
-			value = w.nets.ForwardValue(obs)
-		}
 
 		reward, outcome, err := w.env.StepContext(ctx, action)
 		if err != nil {
@@ -269,14 +255,8 @@ func (w *worker) explore(ctx context.Context, steps int) {
 	// does the counter (a phantom trajectory would deflate the epoch
 	// reward).
 	before := w.buf.Paths()
-	boot := 0.0
-	if w.batch != nil {
-		w.batch.eval(w.env.Observation(), w.scratch.Logits, &w.batchVal)
-		boot = w.batchVal
-	} else {
-		boot = w.nets.ForwardValue(w.env.Observation())
-	}
-	w.buf.FinishPath(boot)
+	w.batch.eval(w.env.Observation(), w.scratch.Logits, &w.batchVal)
+	w.buf.FinishPath(w.batchVal)
 	if w.buf.Paths() > before {
 		w.trajectories++
 	}
@@ -337,16 +317,10 @@ func (p *Planner) PlanContext(ctx context.Context) (*Report, error) {
 		cache = failure.NewCache(p.cfg.AnalyzerCacheSize)
 	}
 
-	// Batched exploration (the default) centralizes all policy/value
-	// evaluation on the global networks behind one barrier, so the workers
-	// need no replica networks at all; the unbatched escape hatch keeps the
-	// original one-replica-per-worker layout. Trajectories are bit-identical
-	// either way: between updates every replica equals the global weights,
-	// and the batched forward is row-wise identical to single forwards.
-	var batch *policyBatcher
-	if !p.cfg.UnbatchedExploration {
-		batch = newPolicyBatcher(global)
-	}
+	// All policy/value evaluation runs on the global networks behind one
+	// barrier. Sharing them is safe because the weights change only in the
+	// update, after every worker has left the barrier.
+	batch := newPolicyBatcher(global)
 	workers := make([]*worker, p.cfg.Workers)
 	for i := range workers {
 		src := rng.New(p.cfg.Seed + int64(i)*7919 + 1)
@@ -354,16 +328,8 @@ func (p *Planner) PlanContext(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		nets := global
-		if batch == nil {
-			nets, err = p.buildNets(rand.New(rand.NewSource(p.cfg.Seed)))
-			if err != nil {
-				return nil, err
-			}
-			nets.SyncFrom(global)
-		}
 		workers[i] = &worker{
-			env: env, nets: nets, src: src, rng: rand.New(src),
+			env: env, src: src, rng: rand.New(src),
 			batch: batch, scratch: nn.NewScratch(global.ActionSpace()),
 		}
 	}
@@ -543,7 +509,7 @@ func (p *Planner) PlanContext(ctx context.Context) (*Report, error) {
 
 		// Gradient update on the merged batch (equivalent to averaging the
 		// per-worker gradient estimators, §IV-C) under the divergence
-		// watchdog, then synchronize replicas.
+		// watchdog.
 		updateStart := time.Now()
 		stats, recovery, err := ppo.UpdateWithRecovery(global, merged, p.cfg.DivergenceRetries)
 		es.UpdateTime = time.Since(updateStart)
@@ -563,11 +529,6 @@ func (p *Planner) PlanContext(ctx context.Context) (*Report, error) {
 				"critic_lr": recovery.CriticLR,
 			}}); err != nil {
 				return nil, err
-			}
-		}
-		for _, w := range workers {
-			if w.nets != global { // batched workers share the global nets
-				w.nets.SyncFrom(global)
 			}
 		}
 		// Re-arm quarantined workers with a clean environment for the next

@@ -624,6 +624,15 @@ func (c *Coordinator) replicaByID(id string) *replica {
 	return c.replicas[id]
 }
 
+// owner resolves the replica a job currently lives on and the job's ID
+// there; the replica is nil when it is unknown.
+func (c *Coordinator) owner(j *fleetJob) (*replica, string) {
+	j.mu.Lock()
+	rid, remote := j.replicaID, j.remoteID
+	j.mu.Unlock()
+	return c.replicaByID(rid), remote
+}
+
 // Get returns a job's fleet status, refreshed from its replica when the
 // job is live and the replica reachable; otherwise the last observed
 // snapshot (the monitor keeps it fresh and hands the job off if its
@@ -662,29 +671,18 @@ func (c *Coordinator) Result(ctx context.Context, id string) (*service.Result, e
 		return nil, ErrNotFound
 	}
 	j.mu.Lock()
-	cached := j.result
-	rid, remote := j.replicaID, j.remoteID
+	res := j.result
 	j.mu.Unlock()
-	if cached != nil {
-		r := *cached
-		r.JobID = id
-		return &r, nil
+	if res == nil {
+		rep, remote := c.owner(j)
+		if rep == nil {
+			return nil, ErrNoReplicas
+		}
+		var err error
+		if res, err = c.cacheResult(ctx, j, rep, remote); err != nil {
+			return nil, err
+		}
 	}
-	rep := c.replicaByID(rid)
-	if rep == nil {
-		return nil, ErrNoReplicas
-	}
-	cctx, cancel := context.WithTimeout(ctx, c.opt.CallTimeout)
-	defer cancel()
-	res, err := rep.client.Result(cctx, remote)
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	if j.result == nil && j.remoteID == remote {
-		j.result = res
-	}
-	j.mu.Unlock()
 	r := *res
 	r.JobID = id
 	return &r, nil
@@ -696,10 +694,7 @@ func (c *Coordinator) Cancel(ctx context.Context, id string) (JobStatus, error) 
 	if j == nil {
 		return JobStatus{}, ErrNotFound
 	}
-	j.mu.Lock()
-	rid, remote := j.replicaID, j.remoteID
-	j.mu.Unlock()
-	rep := c.replicaByID(rid)
+	rep, remote := c.owner(j)
 	if rep == nil {
 		return JobStatus{}, ErrNoReplicas
 	}
@@ -781,13 +776,12 @@ func (j *fleetJob) view() JobStatus {
 // last snapshot standing (the monitor's failover path owns recovery).
 func (c *Coordinator) refresh(ctx context.Context, j *fleetJob) {
 	j.mu.Lock()
-	if j.terminal {
-		j.mu.Unlock()
+	terminal := j.terminal
+	j.mu.Unlock()
+	if terminal {
 		return
 	}
-	rid, remote := j.replicaID, j.remoteID
-	j.mu.Unlock()
-	rep := c.replicaByID(rid)
+	rep, remote := c.owner(j)
 	if rep == nil {
 		return
 	}
@@ -808,24 +802,28 @@ func (c *Coordinator) refresh(ctx context.Context, j *fleetJob) {
 	}
 	j.mu.Unlock()
 	if done {
-		c.cacheResult(ctx, j, rep, remote)
+		_, _ = c.cacheResult(ctx, j, rep, remote) // on failure, Result fetches it on demand
 	}
 }
 
-// cacheResult copies a done job's result into the coordinator, so the
-// result outlives the replica that computed it.
-func (c *Coordinator) cacheResult(ctx context.Context, j *fleetJob, rep *replica, remote string) {
+// cacheResult fetches a done job's result from the replica and copies it
+// into the coordinator, so the result outlives the replica that computed
+// it. The copy is kept only while remote is still the job's ID there (a
+// handoff may have moved it) and no result is cached yet; the fetched
+// result is returned either way.
+func (c *Coordinator) cacheResult(ctx context.Context, j *fleetJob, rep *replica, remote string) (*service.Result, error) {
 	cctx, cancel := context.WithTimeout(ctx, c.opt.CallTimeout)
 	defer cancel()
 	res, err := rep.client.Result(cctx, remote)
 	if err != nil {
-		return
+		return nil, err
 	}
 	j.mu.Lock()
 	if j.result == nil && j.remoteID == remote {
 		j.result = res
 	}
 	j.mu.Unlock()
+	return res, nil
 }
 
 // monitor is the coordinator's heartbeat: every half heartbeat interval

@@ -61,14 +61,6 @@ func shapeEqual(op string, a, b *Matrix) {
 	}
 }
 
-// AddInPlace adds b element-wise into m.
-func (m *Matrix) AddInPlace(b *Matrix) {
-	shapeEqual("add", m, b)
-	for i := range m.Data {
-		m.Data[i] += b.Data[i]
-	}
-}
-
 // ScaleInPlace multiplies all elements by s.
 func (m *Matrix) ScaleInPlace(s float64) {
 	for i := range m.Data {
@@ -96,13 +88,6 @@ func (m *Matrix) EnsureShape(rows, cols int) {
 // identical or disjoint, never overlapping views).
 func aliases(a, b *Matrix) bool {
 	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
-}
-
-// MatMul returns a×b.
-func MatMul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
 }
 
 // MatMulInto computes dst = a×b, resizing dst in place. dst must not alias
@@ -166,8 +151,8 @@ func matMulATAdd(dst, a, b []float64, m, n int, acc *[]float64) {
 
 // matMulBTInto computes dst = a×bᵀ. Each element is the dot product of a
 // row of a with a row of b, summed over k in order from zero and skipping
-// zero elements of a — the operation sequence of MatMulInto(dst, a,
-// b.Transpose()), so results are bit-identical to it. *bt is transpose
+// zero elements of a — the operation sequence of MatMulInto of a and the
+// transpose of b, so results are bit-identical to it. *bt is transpose
 // scratch for the vector path (grown on first use).
 func matMulBTInto(dst, a, b *Matrix, bt *[]float64) {
 	if a.Cols != b.Cols {
@@ -279,65 +264,6 @@ func dotSkip(a, b []float64) float64 {
 	return c
 }
 
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	transpose(out.Data, m.Data, m.Rows, m.Cols)
-	return out
-}
-
-// Hadamard returns the element-wise product a⊙b.
-func Hadamard(a, b *Matrix) *Matrix {
-	shapeEqual("hadamard", a, b)
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
-// Flatten returns the matrix reshaped into a single row vector (a view
-// copy, not aliased).
-func (m *Matrix) Flatten() *Matrix {
-	out := NewMatrix(1, m.Rows*m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// Reshape returns a copy with the new shape; the element count must match.
-func (m *Matrix) Reshape(rows, cols int) *Matrix {
-	if rows*cols != len(m.Data) {
-		panic(fmt.Sprintf("nn: cannot reshape %dx%d to %dx%d", m.Rows, m.Cols, rows, cols))
-	}
-	out := NewMatrix(rows, cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// ConcatCols horizontally concatenates row vectors or equal-row matrices.
-func ConcatCols(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return NewMatrix(0, 0)
-	}
-	rows := ms[0].Rows
-	total := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic(fmt.Sprintf("nn: concat rows %d vs %d", m.Rows, rows))
-		}
-		total += m.Cols
-	}
-	out := NewMatrix(rows, total)
-	for r := 0; r < rows; r++ {
-		off := 0
-		for _, m := range ms {
-			copy(out.Data[r*total+off:r*total+off+m.Cols], m.Data[r*m.Cols:(r+1)*m.Cols])
-			off += m.Cols
-		}
-	}
-	return out
-}
-
 // XavierInit fills m with Glorot-uniform values for a layer with the given
 // fan-in and fan-out, using the provided RNG for determinism.
 func (m *Matrix) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
@@ -345,15 +271,6 @@ func (m *Matrix) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * limit
 	}
-}
-
-// Norm returns the Frobenius norm.
-func (m *Matrix) Norm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Param couples a parameter matrix with its gradient accumulator; the Adam
@@ -376,30 +293,6 @@ func ZeroGrads(ps []Param) {
 func ScaleGrads(ps []Param, s float64) {
 	for _, p := range ps {
 		p.Grad.ScaleInPlace(s)
-	}
-}
-
-// AddGrads accumulates src gradients into dst (parameter lists must come
-// from identically shaped networks). It implements the distributed gradient
-// sum of the parallel training scheme (§IV-C).
-func AddGrads(dst, src []Param) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("nn: grad list length %d vs %d", len(dst), len(src)))
-	}
-	for i := range dst {
-		dst[i].Grad.AddInPlace(src[i].Grad)
-	}
-}
-
-// CopyParams copies parameter values from src into dst, synchronizing
-// worker replicas after a global update.
-func CopyParams(dst, src []Param) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("nn: param list length %d vs %d", len(dst), len(src)))
-	}
-	for i := range dst {
-		shapeEqual("copy", dst[i].Value, src[i].Value)
-		copy(dst[i].Value.Data, src[i].Value.Data)
 	}
 }
 

@@ -36,11 +36,15 @@ func TestFromSlicePanicsOnBadLength(t *testing.T) {
 func TestMatMul(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := NewMatrix(0, 0)
+	MatMulInto(c, a, b)
 	want := []float64{58, 64, 139, 154}
+	if c.Rows != 2 || c.Cols != 2 {
+		t.Fatalf("shape %dx%d, want 2x2", c.Rows, c.Cols)
+	}
 	for i, w := range want {
 		if c.Data[i] != w {
-			t.Fatalf("MatMul = %v, want %v", c.Data, want)
+			t.Fatalf("MatMulInto = %v, want %v", c.Data, want)
 		}
 	}
 }
@@ -51,50 +55,18 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(NewMatrix(2, 3), NewMatrix(2, 3))
+	MatMulInto(NewMatrix(0, 0), NewMatrix(2, 3), NewMatrix(2, 3))
 }
 
 func TestTranspose(t *testing.T) {
-	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	at := a.Transpose()
-	if at.Rows != 3 || at.Cols != 2 {
-		t.Fatalf("shape %dx%d", at.Rows, at.Cols)
-	}
-	if at.At(0, 1) != 4 || at.At(2, 0) != 3 {
-		t.Fatalf("Transpose wrong: %v", at.Data)
-	}
-}
-
-func TestHadamardAndAddScale(t *testing.T) {
-	a := FromSlice(1, 3, []float64{1, 2, 3})
-	b := FromSlice(1, 3, []float64{4, 5, 6})
-	h := Hadamard(a, b)
-	if h.Data[0] != 4 || h.Data[2] != 18 {
-		t.Fatalf("Hadamard = %v", h.Data)
-	}
-	a.AddInPlace(b)
-	if a.Data[1] != 7 {
-		t.Fatalf("AddInPlace = %v", a.Data)
-	}
-	a.ScaleInPlace(2)
-	if a.Data[0] != 10 {
-		t.Fatalf("ScaleInPlace = %v", a.Data)
-	}
-}
-
-func TestFlattenReshapeConcat(t *testing.T) {
-	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	f := a.Flatten()
-	if f.Rows != 1 || f.Cols != 4 || f.Data[3] != 4 {
-		t.Fatalf("Flatten = %+v", f)
-	}
-	r := f.Reshape(2, 2)
-	if r.At(1, 0) != 3 {
-		t.Fatalf("Reshape wrong")
-	}
-	c := ConcatCols(FromSlice(1, 2, []float64{1, 2}), FromSlice(1, 3, []float64{3, 4, 5}))
-	if c.Cols != 5 || c.Data[4] != 5 {
-		t.Fatalf("ConcatCols = %+v", c)
+	a := []float64{1, 2, 3, 4, 5, 6}
+	at := make([]float64, len(a))
+	transpose(at, a, 2, 3)
+	want := []float64{1, 4, 2, 5, 3, 6}
+	for i, w := range want {
+		if at[i] != w {
+			t.Fatalf("transpose = %v, want %v", at, want)
+		}
 	}
 }
 
@@ -132,15 +104,6 @@ func TestParamHelpers(t *testing.T) {
 	ScaleGrads(ps, 0.5)
 	if ps[0].Grad.Data[1] != 2 {
 		t.Fatal("ScaleGrads failed")
-	}
-	dst, src := mk(), mk()
-	AddGrads(dst, src)
-	if dst[0].Grad.Data[0] != 6 {
-		t.Fatal("AddGrads failed")
-	}
-	CopyParams(dst, []Param{{Value: FromSlice(1, 2, []float64{9, 9}), Grad: NewMatrix(1, 2)}})
-	if dst[0].Value.Data[0] != 9 {
-		t.Fatal("CopyParams failed")
 	}
 	if n := GlobalGradNorm(mk()); math.Abs(n-5) > 1e-12 {
 		t.Fatalf("GlobalGradNorm = %v, want 5", n)

@@ -122,17 +122,6 @@ func SampleCategorical(rng *rand.Rand, probs []float64) int {
 	return last
 }
 
-// Argmax returns the index of the largest value (first on ties).
-func Argmax(xs []float64) int {
-	best, bestV := -1, NegInf
-	for i, v := range xs {
-		if v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
-}
-
 // Entropy computes the Shannon entropy of a probability vector in nats.
 func Entropy(probs []float64) float64 {
 	var h float64
@@ -144,22 +133,18 @@ func Entropy(probs []float64) float64 {
 	return h
 }
 
-// LogSoftmaxGrad returns the gradient of logProbs[action] with respect to
-// the (masked) logits: e_a − softmax(logits). Masked entries get zero
-// gradient, so fully disabled actions never receive updates.
+// LogSoftmaxGradInto writes the gradient of logProbs[action] with respect
+// to the (masked) logits, e_a − softmax(logits), into dst (grown as needed
+// and returned). Masked entries get zero gradient, so fully disabled
+// actions never receive updates. dst must not alias logits: the
+// probabilities are computed into dst first and the masked entries are
+// then re-read from logits.
 //
 // action must index a non-masked (finite) logit: log p(action) is -inf
 // there, and the e_a term would otherwise leave a +1 gradient on the
 // masked entry, pushing probability mass onto a disabled action. That
 // only happens when a caller stores an action inconsistent with its mask,
 // so it panics loudly instead of corrupting the policy.
-func LogSoftmaxGrad(logits []float64, action int) []float64 {
-	return LogSoftmaxGradInto(nil, logits, action)
-}
-
-// LogSoftmaxGradInto is LogSoftmaxGrad writing into dst (grown as needed
-// and returned). dst must not alias logits: the probabilities are computed
-// into dst first and the masked entries are then re-read from logits.
 func LogSoftmaxGradInto(dst, logits []float64, action int) []float64 {
 	if math.IsInf(logits[action], -1) {
 		panic(fmt.Sprintf("nn: log-softmax gradient of masked action %d (logit is -inf)", action))

@@ -456,11 +456,13 @@ type prepared struct {
 }
 
 // prepare validates and canonicalizes a request: the problem spec is
-// decoded and re-encoded (so field order, flow order artifacts or spec
-// formatting cannot split the cache), the planner configuration is built
-// with defaults applied, a planner construction dry-run surfaces invalid
-// spec/config combinations at submit time, and the plan-cache fingerprint
-// is computed over the canonical form.
+// decoded and re-encoded (so JSON field order, whitespace and the order of
+// candidate links cannot split the cache), the planner configuration is
+// built with defaults applied, a planner construction dry-run surfaces
+// invalid spec/config combinations at submit time, and the plan-cache
+// fingerprint is computed over the canonical form. Flow order survives
+// canonicalization: it sets the NBF's scheduling order, so it is part of
+// the job's identity (TestFingerprintCanonicalizesSpec).
 func prepare(req Request) (prepared, error) {
 	prob, err := serialize.DecodeProblem(req.Problem, nbf.NewRegistry())
 	if err != nil {

@@ -551,14 +551,7 @@ func (m *Manager) Cancel(id string) (Status, error) {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued:
-		j.state = StateCancelled
-		j.errMsg = "cancelled while queued"
-		j.finished = time.Now().UTC()
-		close(j.terminal)
-		j.mu.Unlock()
-		m.met.incCancelled()
-		m.emit(obsv.Event{Type: EventCancelled, Msg: j.id})
-		m.persist(j)
+		m.cancelQueued(j, "cancelled while queued")
 	case StateRunning:
 		j.cancelRequested = true
 		cancel := j.cancel
@@ -570,6 +563,20 @@ func (m *Manager) Cancel(id string) (Status, error) {
 		j.mu.Unlock()
 	}
 	return j.status(), nil
+}
+
+// cancelQueued moves a job that never ran to cancelled with the given
+// message, then counts, announces and journals it. Called with j.mu held;
+// releases it.
+func (m *Manager) cancelQueued(j *job, msg string) {
+	j.state = StateCancelled
+	j.errMsg = msg
+	j.finished = time.Now().UTC()
+	close(j.terminal)
+	j.mu.Unlock()
+	m.met.incCancelled()
+	m.emit(obsv.Event{Type: EventCancelled, Msg: j.id})
+	m.persist(j)
 }
 
 // Delete removes a terminal job and its persisted record; live jobs must
@@ -674,30 +681,20 @@ func (m *Manager) runJob(j *job) {
 		return
 	}
 	if draining {
-		j.state = StateCancelled
-		j.errMsg = "cancelled by server drain while queued"
-		j.finished = time.Now().UTC()
-		close(j.terminal)
-		j.mu.Unlock()
-		m.met.incCancelled()
-		m.emit(obsv.Event{Type: EventCancelled, Msg: j.id})
-		m.persist(j)
+		m.cancelQueued(j, "cancelled by server drain while queued")
 		return
 	}
 
-	ctx := context.Background()
-	var cancelTimeout context.CancelFunc
 	timeout := j.timeout
 	if timeout == 0 {
 		timeout = m.opt.DefaultTimeout
 	}
+	var ctx context.Context
+	var cancel context.CancelFunc
 	if timeout > 0 {
-		ctx, cancelTimeout = context.WithTimeout(ctx, timeout)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	if cancelTimeout != nil {
-		origCancel := cancel
-		cancel = func() { origCancel(); cancelTimeout() }
+		ctx, cancel = context.WithTimeout(context.Background(), timeout)
+	} else {
+		ctx, cancel = context.WithCancel(context.Background())
 	}
 	defer cancel()
 

@@ -24,10 +24,6 @@ type RolloutOptions struct {
 	// round-robin, so the per-stream trajectory — and hence the returned
 	// plan — is bit-identical for every worker count (default 1).
 	Workers int
-	// Unbatched evaluates each observation on its own forward call instead
-	// of batching a worker's live streams; trajectories are identical
-	// either way (the differential suite asserts it).
-	Unbatched bool
 	// Seed offsets the stream environment seeds; zero uses the config's.
 	Seed int64
 }
@@ -60,7 +56,8 @@ type stream struct {
 // opt.Seed + s*104729 + 2 (the planner's worker-env schedule), actions are
 // argmax with lowest-index tie-break, and the global winner is the lowest
 // cost with the lowest stream index as tie-break — so the returned plan is
-// bit-identical across worker counts and batched vs unbatched forwards.
+// bit-identical across worker counts, whatever streams share a batched
+// forward.
 func Rollout(ctx context.Context, prob *core.Problem, cfg core.Config, weights [][]float64, opt RolloutOptions) (*core.Solution, RolloutStats, error) {
 	if opt.Streams <= 0 {
 		opt.Streams = 1
@@ -133,7 +130,7 @@ func Rollout(ctx context.Context, prob *core.Problem, cfg core.Config, weights [
 				errs[w] = fmt.Errorf("zoo: rollout nets: %w", err)
 				return
 			}
-			errs[w] = runStreams(ctx, nets, owned, opt.MaxSteps, !opt.Unbatched)
+			errs[w] = runStreams(ctx, nets, owned, opt.MaxSteps)
 		}(w, owned)
 	}
 	wg.Wait()
@@ -161,11 +158,11 @@ func Rollout(ctx context.Context, prob *core.Problem, cfg core.Config, weights [
 	return best, stats, nil
 }
 
-// runStreams drives one worker's streams to completion. In batched mode
-// the live streams advance in lockstep through one ForwardPolicyValueBatch
-// per step; row i of the batch is bit-identical to a single forward of
-// obs[i], so batching never changes a stream's trajectory.
-func runStreams(ctx context.Context, nets *core.Nets, streams []*stream, maxSteps int, batched bool) error {
+// runStreams drives one worker's streams to completion. The live streams
+// advance in lockstep through one ForwardPolicyValueBatch per step; row i
+// of the batch is bit-identical to a single forward of obs[i], so batching
+// never changes a stream's trajectory.
+func runStreams(ctx context.Context, nets *core.Nets, streams []*stream, maxSteps int) error {
 	n := len(streams)
 	obs := make([]*core.Obs, 0, n)
 	live := make([]*stream, 0, n)
@@ -189,15 +186,7 @@ func runStreams(ctx context.Context, nets *core.Nets, streams []*stream, maxStep
 		if len(live) == 0 {
 			return nil
 		}
-		if batched {
-			nets.ForwardPolicyValueBatch(obs, logits[:len(live)], values[:len(live)])
-		} else {
-			for i := range live {
-				// ForwardPolicy returns borrowed scratch; copy before the
-				// next forward overwrites it.
-				copy(logits[i], nets.ForwardPolicy(obs[i]))
-			}
-		}
+		nets.ForwardPolicyValueBatch(obs, logits[:len(live)], values[:len(live)])
 		for i, s := range live {
 			action := greedyAction(logits[i], s.env.Mask())
 			if action < 0 {

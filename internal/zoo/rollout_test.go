@@ -26,37 +26,26 @@ func solutionBytes(t testing.TB, sol *core.Solution) []byte {
 
 // TestRolloutDeterministicAcrossWorkersAndBatching is the differential
 // suite behind the rollout's contract: the same policy and spec must
-// produce a bit-identical plan whatever the worker count, and whether
-// observations are batched through ForwardPolicyValueBatch or evaluated
-// one forward at a time.
+// produce a bit-identical plan whatever the worker count — with 4 streams,
+// 1, 2 and 4 workers batch 4, 2 and 1 streams per ForwardPolicyValueBatch.
 func TestRolloutDeterministicAcrossWorkersAndBatching(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyCfg()
 	weights := trainedWeights(t)
 	const streams = 4
 
-	type variant struct {
-		workers   int
-		unbatched bool
-	}
-	var variants []variant
-	for _, w := range []int{1, 2, 4} {
-		variants = append(variants, variant{w, false}, variant{w, true})
-	}
-
 	var refSol []byte
 	var refStats RolloutStats
-	for i, v := range variants {
+	for i, workers := range []int{1, 2, 4} {
 		sol, stats, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{
-			Streams:   streams,
-			Workers:   v.workers,
-			Unbatched: v.unbatched,
+			Streams: streams,
+			Workers: workers,
 		})
 		if err != nil {
-			t.Fatalf("workers=%d unbatched=%v: %v", v.workers, v.unbatched, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if sol == nil {
-			t.Fatalf("workers=%d unbatched=%v: rollout found no plan", v.workers, v.unbatched)
+			t.Fatalf("workers=%d: rollout found no plan", workers)
 		}
 		got := solutionBytes(t, sol)
 		if i == 0 {
@@ -64,11 +53,10 @@ func TestRolloutDeterministicAcrossWorkersAndBatching(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(got, refSol) {
-			t.Errorf("workers=%d unbatched=%v: plan differs from workers=%d unbatched=%v reference",
-				v.workers, v.unbatched, variants[0].workers, variants[0].unbatched)
+			t.Errorf("workers=%d: plan differs from the workers=1 reference", workers)
 		}
 		if stats != refStats {
-			t.Errorf("workers=%d unbatched=%v: stats %+v, reference %+v", v.workers, v.unbatched, stats, refStats)
+			t.Errorf("workers=%d: stats %+v, reference %+v", workers, stats, refStats)
 		}
 	}
 }
