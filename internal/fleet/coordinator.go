@@ -75,10 +75,10 @@ type Options struct {
 	// declared dead and its in-flight jobs fail over (default
 	// 8 × HeartbeatInterval). Must exceed SuspectAfter.
 	DeadAfter time.Duration
-	// CallTimeout bounds every coordinator→replica HTTP attempt
-	// (default 10s). This is what turns a hung replica — a connection that
-	// accepts and goes silent — into a routable failure instead of a stuck
-	// coordinator.
+	// CallTimeout bounds each coordinator→replica call as a whole — all of
+	// its client retries and backoff included (default 10s). This is what
+	// turns a hung replica — a connection that accepts and goes silent —
+	// into a routable failure instead of a stuck coordinator.
 	CallTimeout time.Duration
 	// VirtualNodes is the consistent-hash ring's per-replica point count
 	// (default 128).
@@ -91,8 +91,11 @@ type Options struct {
 	// HTTP is the shared transport for all replica calls; chaos drills
 	// wrap it in fault.Transport (http.DefaultClient when nil).
 	HTTP *http.Client
-	// Metrics receives the nptsn_fleet_* series. Nil disables metrics.
-	Events  obsv.Sink
+	// Events receives JSON-lines fleet lifecycle events (see the Event*
+	// constants). Nil disables them.
+	Events obsv.Sink
+	// Metrics receives the nptsn_fleet_* series. When nil, they go to a
+	// private registry nobody scrapes.
 	Metrics *obsv.Registry
 }
 
@@ -134,7 +137,8 @@ type replica struct {
 
 // fleetJob is the coordinator's record of one accepted submission: which
 // replica owns it now, the journaled request for re-serving it after that
-// replica dies, and the last observed status/result.
+// replica dies, and the last observed status/result. A terminal last is
+// final: nothing overwrites it, so a finished job never reads live again.
 type fleetJob struct {
 	id          string
 	fingerprint string
@@ -153,8 +157,6 @@ type fleetJob struct {
 	remoteID  string
 	handoffs  int
 	last      service.Status
-	haveLast  bool
-	terminal  bool
 	result    *service.Result
 }
 
@@ -288,7 +290,7 @@ func (c *Coordinator) Register(id, url string) time.Duration {
 	alive, suspect, dead := c.stateCountsLocked()
 	c.mu.Unlock()
 
-	c.met.incRegistered()
+	c.met.registered.Inc()
 	c.met.setStates(alive, suspect, dead)
 	if prev != ReplicaAlive {
 		c.emit(obsv.Event{Type: EventReplicaUp, Msg: id, V: map[string]float64{"replicas_alive": float64(alive)}})
@@ -313,7 +315,7 @@ func (c *Coordinator) Heartbeat(id string) error {
 	alive, suspect, dead := c.stateCountsLocked()
 	c.mu.Unlock()
 
-	c.met.incHeartbeat()
+	c.met.heartbeats.Inc()
 	if prev != ReplicaAlive {
 		c.met.setStates(alive, suspect, dead)
 		c.emit(obsv.Event{Type: EventReplicaUp, Msg: id, V: map[string]float64{"replicas_alive": float64(alive)}})
@@ -339,7 +341,7 @@ func (c *Coordinator) Deregister(id string) {
 	c.mu.Unlock()
 
 	c.met.setStates(alive, suspect, dead)
-	c.met.incFailover()
+	c.met.failovers.Inc()
 	c.emit(obsv.Event{Type: EventReplicaDead, Msg: id, V: map[string]float64{
 		"quiet_seconds": quiet.Seconds(), "jobs_failing_over": float64(failingOver)}})
 	go c.backgroundSweep()
@@ -366,7 +368,7 @@ func (c *Coordinator) liveJobsOnLocked(id string) int {
 	n := 0
 	for _, j := range c.jobs {
 		j.mu.Lock()
-		if j.replicaID == id && !j.terminal {
+		if j.replicaID == id && !j.last.State.Terminal() {
 			n++
 		}
 		j.mu.Unlock()
@@ -405,7 +407,7 @@ func (c *Coordinator) Submit(ctx context.Context, req service.Request) (JobStatu
 
 	if dedupFp != "" {
 		if j := c.usableJobByFingerprint(dedupFp); j != nil {
-			c.met.incDeduped()
+			c.met.deduped.Inc()
 			return j.view(), nil
 		}
 	}
@@ -432,33 +434,31 @@ func (c *Coordinator) Submit(ctx context.Context, req service.Request) (JobStatu
 			replicaID:   rep.id,
 			remoteID:    st.ID,
 			last:        st,
-			haveLast:    true,
-			terminal:    st.State.Terminal(),
 		}
 		c.mu.Lock()
 		c.jobs[j.id] = j
 		c.order = append(c.order, j.id)
 		c.byFp[j.fingerprint] = j.id
 		c.mu.Unlock()
-		c.met.incSubmitted()
+		c.met.submitted.Inc()
 		if req.IsDelta() {
-			c.met.incDelta()
+			c.met.deltas.Inc()
 		}
 		if adopted {
-			c.met.incAdopted()
+			c.met.adopted.Inc()
 		}
 		if rep.id != home.id {
 			// The home shard did not take the job: count why.
 			if home.state == ReplicaSuspect {
-				c.met.incHedged()
+				c.met.hedged.Inc()
 			} else {
-				c.met.incFallback()
+				c.met.fallback.Inc()
 			}
 			if req.IsDelta() {
 				// The delta landed off the base's home shard: it planned
 				// cold (the fallback replica has no warm cache), but it
 				// planned.
-				c.met.incDeltaFallback()
+				c.met.deltaFall.Inc()
 				c.emit(obsv.Event{Type: EventDeltaFallback, Msg: j.id, V: map[string]float64{
 					"home_suspect": boolTo01(home.state == ReplicaSuspect)}})
 			}
@@ -545,7 +545,7 @@ func (c *Coordinator) usableJobByFingerprint(fp string) *fleetJob {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.terminal || (j.haveLast && j.last.State == service.StateDone) {
+	if !j.last.State.Terminal() || j.last.State == service.StateDone {
 		// Returning under j.mu is fine: view() re-locks after we return.
 		return j
 	}
@@ -593,7 +593,7 @@ func (c *Coordinator) route(fp string) ([]*replica, homeInfo) {
 // what makes a failover retried twice — or raced against a duplicate
 // submission — train exactly once per replica.
 func (c *Coordinator) place(ctx context.Context, rep *replica, fp string, req service.Request) (st service.Status, adopted bool, err error) {
-	cctx, cancel := context.WithTimeout(ctx, c.opt.CallTimeout)
+	cctx, cancel := c.callContext(ctx)
 	defer cancel()
 	if fp != "" { // unknown derived fingerprint: nothing to adopt by
 		st, ok, err := rep.client.FindByFingerprint(cctx, fp)
@@ -608,6 +608,12 @@ func (c *Coordinator) place(ctx context.Context, rep *replica, fp string, req se
 	}
 	st, err = rep.client.Submit(cctx, req)
 	return st, false, err
+}
+
+// callContext bounds one coordinator→replica call, retries included, by
+// Options.CallTimeout.
+func (c *Coordinator) callContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(ctx, c.opt.CallTimeout)
 }
 
 // lookup resolves a fleet job ID.
@@ -698,7 +704,7 @@ func (c *Coordinator) Cancel(ctx context.Context, id string) (JobStatus, error) 
 	if rep == nil {
 		return JobStatus{}, ErrNoReplicas
 	}
-	cctx, cancel := context.WithTimeout(ctx, c.opt.CallTimeout)
+	cctx, cancel := c.callContext(ctx)
 	defer cancel()
 	if _, err := rep.client.Cancel(cctx, remote); err != nil {
 		return JobStatus{}, err
@@ -729,7 +735,7 @@ func (c *Coordinator) Fleet() FleetStatus {
 	liveOn := make(map[string]int)
 	for _, j := range jobs {
 		j.mu.Lock()
-		if !j.terminal {
+		if !j.last.State.Terminal() {
 			fs.LiveJobs++
 			liveOn[j.replicaID]++
 		}
@@ -763,9 +769,6 @@ func (j *fleetJob) view() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := j.last
-	if !j.haveLast {
-		st = service.Status{State: service.StateQueued, SubmittedAt: j.submitted}
-	}
 	st.ID = j.id
 	st.SubmittedAt = j.submitted
 	st.Fingerprint = j.fingerprint
@@ -774,9 +777,12 @@ func (j *fleetJob) view() JobStatus {
 
 // refresh pulls a live job's status from its replica; failures leave the
 // last snapshot standing (the monitor's failover path owns recovery).
+// Refreshes run concurrently (Get and the monitor's sweep), so a slow read
+// can land after a fast one: a read is kept only while the job is still
+// live and still on the replica it was read from.
 func (c *Coordinator) refresh(ctx context.Context, j *fleetJob) {
 	j.mu.Lock()
-	terminal := j.terminal
+	terminal := j.last.State.Terminal()
 	j.mu.Unlock()
 	if terminal {
 		return
@@ -785,7 +791,7 @@ func (c *Coordinator) refresh(ctx context.Context, j *fleetJob) {
 	if rep == nil {
 		return
 	}
-	cctx, cancel := context.WithTimeout(ctx, c.opt.CallTimeout)
+	cctx, cancel := c.callContext(ctx)
 	defer cancel()
 	st, err := rep.client.Get(cctx, remote)
 	if err != nil {
@@ -793,11 +799,8 @@ func (c *Coordinator) refresh(ctx context.Context, j *fleetJob) {
 	}
 	done := false
 	j.mu.Lock()
-	if j.remoteID == remote { // discard reads that raced a handoff
-		j.last, j.haveLast = st, true
-		if st.State.Terminal() {
-			j.terminal = true
-		}
+	if j.remoteID == remote && !j.last.State.Terminal() {
+		j.last = st
 		done = st.State == service.StateDone && j.result == nil
 	}
 	j.mu.Unlock()
@@ -812,7 +815,7 @@ func (c *Coordinator) refresh(ctx context.Context, j *fleetJob) {
 // handoff may have moved it) and no result is cached yet; the fetched
 // result is returned either way.
 func (c *Coordinator) cacheResult(ctx context.Context, j *fleetJob, rep *replica, remote string) (*service.Result, error) {
-	cctx, cancel := context.WithTimeout(ctx, c.opt.CallTimeout)
+	cctx, cancel := c.callContext(ctx)
 	defer cancel()
 	res, err := rep.client.Result(cctx, remote)
 	if err != nil {
@@ -884,7 +887,7 @@ func (c *Coordinator) sweepStates() {
 			c.emit(obsv.Event{Type: EventReplicaSuspect, Msg: tr.id,
 				V: map[string]float64{"quiet_seconds": tr.quiet.Seconds()}})
 		} else {
-			c.met.incFailover()
+			c.met.failovers.Inc()
 			c.emit(obsv.Event{Type: EventReplicaDead, Msg: tr.id, V: map[string]float64{
 				"quiet_seconds": tr.quiet.Seconds(), "jobs_failing_over": float64(tr.jobs)}})
 		}
@@ -911,7 +914,7 @@ func (c *Coordinator) backgroundSweep() {
 	for _, j := range jobs {
 		c.refresh(ctx, j)
 		j.mu.Lock()
-		stranded := !j.terminal
+		stranded := !j.last.State.Terminal()
 		rid := j.replicaID
 		j.mu.Unlock()
 		if !stranded {
@@ -935,7 +938,7 @@ func (c *Coordinator) backgroundSweep() {
 // With nothing routable the job stays put; the next sweep retries.
 func (c *Coordinator) handoff(ctx context.Context, j *fleetJob, from string) {
 	j.mu.Lock()
-	if j.terminal || j.replicaID != from {
+	if j.last.State.Terminal() || j.replicaID != from {
 		j.mu.Unlock()
 		return
 	}
@@ -956,7 +959,7 @@ func (c *Coordinator) handoff(ctx context.Context, j *fleetJob, from string) {
 			continue
 		}
 		j.mu.Lock()
-		if j.terminal || j.replicaID != from {
+		if j.last.State.Terminal() || j.replicaID != from {
 			// The job finished on its old replica (or moved) while this
 			// placement was in flight. Repointing it now would turn a
 			// terminal job live again, and no refresh revisits terminal
@@ -964,27 +967,19 @@ func (c *Coordinator) handoff(ctx context.Context, j *fleetJob, from string) {
 			j.mu.Unlock()
 			return
 		}
-		j.replicaID, j.remoteID = rep.id, st.ID
-		j.last, j.haveLast = st, true
+		j.replicaID, j.remoteID, j.last = rep.id, st.ID, st
 		j.handoffs++
-		if st.State.Terminal() {
-			j.terminal = true
-		}
 		n := j.handoffs
 		j.mu.Unlock()
 		c.mu.Lock()
 		c.handoffs++
 		c.mu.Unlock()
-		c.met.incHandoff()
+		c.met.handoffs.Inc()
 		if adopted {
-			c.met.incAdopted()
-		}
-		adoptedV := 0.0
-		if adopted {
-			adoptedV = 1
+			c.met.adopted.Inc()
 		}
 		c.emit(obsv.Event{Type: EventJobHandoff, Msg: fmt.Sprintf("%s %s->%s", j.id, from, rep.id),
-			V: map[string]float64{"handoffs": float64(n), "adopted": adoptedV}})
+			V: map[string]float64{"handoffs": float64(n), "adopted": boolTo01(adopted)}})
 		return
 	}
 }
@@ -995,6 +990,6 @@ func (c *Coordinator) emit(e obsv.Event) {
 		return
 	}
 	if err := c.opt.Events.Emit(e); err != nil {
-		c.met.incEventErr()
+		c.met.eventErrs.Inc()
 	}
 }

@@ -1,8 +1,6 @@
 package fleet
 
-import (
-	"repro/internal/obsv"
-)
+import "repro/internal/obsv"
 
 // Fleet lifecycle event types, emitted to Options.Events as JSON lines.
 // Msg carries the replica or job ID; V carries the numeric payload.
@@ -29,8 +27,7 @@ const (
 	EventDeltaFallback = "delta_fallback"
 )
 
-// metrics bundles the nptsn_fleet_* instrument handles. A nil *metrics is
-// valid and records nothing, mirroring the service convention.
+// metrics bundles the nptsn_fleet_* instrument handles; none is nil.
 type metrics struct {
 	alive   *obsv.Gauge
 	suspect *obsv.Gauge
@@ -50,9 +47,11 @@ type metrics struct {
 	eventErrs  *obsv.Counter
 }
 
+// newMetrics registers the handles on reg, or on a private registry when
+// reg is nil, so call sites never check.
 func newMetrics(reg *obsv.Registry) *metrics {
 	if reg == nil {
-		return nil
+		reg = obsv.NewRegistry()
 	}
 	return &metrics{
 		alive:      reg.Gauge("nptsn_fleet_replicas_alive", "Replicas with a fresh heartbeat."),
@@ -74,30 +73,10 @@ func newMetrics(reg *obsv.Registry) *metrics {
 }
 
 func (m *metrics) setStates(alive, suspect, dead int) {
-	if m == nil {
-		return
-	}
 	m.alive.Set(float64(alive))
 	m.suspect.Set(float64(suspect))
 	m.dead.Set(float64(dead))
 }
-
-func (m *metrics) inc(c func(*metrics) *obsv.Counter) {
-	if m != nil {
-		c(m).Inc()
-	}
-}
-
-func (m *metrics) incSubmitted() { m.inc(func(m *metrics) *obsv.Counter { return m.submitted }) }
-func (m *metrics) incDeduped()   { m.inc(func(m *metrics) *obsv.Counter { return m.deduped }) }
-func (m *metrics) incAdopted()   { m.inc(func(m *metrics) *obsv.Counter { return m.adopted }) }
-func (m *metrics) incFailover()  { m.inc(func(m *metrics) *obsv.Counter { return m.failovers }) }
-func (m *metrics) incHandoff()   { m.inc(func(m *metrics) *obsv.Counter { return m.handoffs }) }
-func (m *metrics) incFallback()  { m.inc(func(m *metrics) *obsv.Counter { return m.fallback }) }
-func (m *metrics) incHedged()    { m.inc(func(m *metrics) *obsv.Counter { return m.hedged }) }
-
-func (m *metrics) incDelta()         { m.inc(func(m *metrics) *obsv.Counter { return m.deltas }) }
-func (m *metrics) incDeltaFallback() { m.inc(func(m *metrics) *obsv.Counter { return m.deltaFall }) }
 
 func boolTo01(b bool) float64 {
 	if b {
@@ -105,6 +84,3 @@ func boolTo01(b bool) float64 {
 	}
 	return 0
 }
-func (m *metrics) incHeartbeat()  { m.inc(func(m *metrics) *obsv.Counter { return m.heartbeats }) }
-func (m *metrics) incRegistered() { m.inc(func(m *metrics) *obsv.Counter { return m.registered }) }
-func (m *metrics) incEventErr()   { m.inc(func(m *metrics) *obsv.Counter { return m.eventErrs }) }

@@ -163,12 +163,12 @@ func TestChaosCrashRestartRequeuesJournaledJobs(t *testing.T) {
 func TestChaosCrashLoopAbandonsJobAfterMaxAttempts(t *testing.T) {
 	dir := t.TempDir()
 	block := make(chan struct{})
+	// Deferred, the release runs before the t.Cleanup shutdowns that
+	// newTestManager registers: every manager drains its released job
+	// before the temp dir is removed.
 	defer close(block)
 
-	m1, err := New(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := newTestManager(t, Options{Dir: dir})
 	m1.testBeforeRun = func(*job) { <-block }
 	st, err := m1.Submit(tinyRequest(t))
 	if err != nil {
@@ -193,11 +193,7 @@ func TestChaosCrashLoopAbandonsJobAfterMaxAttempts(t *testing.T) {
 	// rides in through Options — a re-queued job can start before New
 	// returns, too early to set the hook on the Manager.
 	for life := 0; life < 2; life++ {
-		m, err := New(Options{Dir: dir, MaxAttempts: 2, testBeforeRun: func(*job) { <-block }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitRunning(m)
+		waitRunning(newTestManager(t, Options{Dir: dir, MaxAttempts: 2, testBeforeRun: func(*job) { <-block }}))
 	}
 
 	sink := &memSink{}

@@ -279,24 +279,15 @@ func (c *Client) Result(ctx context.Context, id string) (*Result, error) {
 // returns the resulting status snapshot. Cancellation is idempotent on the
 // server, so transient failures are retried like any GET.
 func (c *Client) Cancel(ctx context.Context, id string) (Status, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		st, err := c.cancelOnce(ctx, id)
-		if err == nil {
-			return st, nil
-		}
-		lastErr = err
-		var ae *APIError
-		if errors.As(err, &ae) && ae.StatusCode < 500 && ae.StatusCode != http.StatusTooManyRequests {
-			return Status{}, err
-		}
-		if attempt >= c.retries() {
-			return Status{}, lastErr
-		}
-		if serr := c.sleep(ctx, c.delay(attempt, 0)); serr != nil {
-			return Status{}, fmt.Errorf("%w (retrying after: %v)", serr, lastErr)
-		}
+	var st Status
+	err := c.retry(ctx, func() (err error) {
+		st, err = c.cancelOnce(ctx, id)
+		return err
+	})
+	if err != nil {
+		return Status{}, err
 	}
+	return st, nil
 }
 
 func (c *Client) cancelOnce(ctx context.Context, id string) (Status, error) {
@@ -344,25 +335,30 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (Statu
 	}
 }
 
-// getJSON runs a GET with retries (GETs are idempotent, so every failure
-// short of a clean 4xx is retried) and decodes the response into out.
+// getJSON runs a GET with retries and decodes the response into out.
 func (c *Client) getJSON(ctx context.Context, path string, out interface{}) error {
-	var lastErr error
+	return c.retry(ctx, func() error { return c.getOnce(ctx, path, out) })
+}
+
+// retry runs one idempotent call (a GET, or the DELETE of Cancel) until
+// it succeeds, answers a clean 4xx other than 429, or exhausts the retry
+// budget; every other failure is retried after a jittered backoff. A ctx
+// that ends mid-backoff surfaces together with the failure being retried.
+func (c *Client) retry(ctx context.Context, once func() error) error {
 	for attempt := 0; ; attempt++ {
-		err := c.getOnce(ctx, path, out)
+		err := once()
 		if err == nil {
 			return nil
 		}
-		lastErr = err
 		var ae *APIError
 		if errors.As(err, &ae) && ae.StatusCode < 500 && ae.StatusCode != http.StatusTooManyRequests {
 			return err
 		}
 		if attempt >= c.retries() {
-			return lastErr
+			return err
 		}
 		if serr := c.sleep(ctx, c.delay(attempt, 0)); serr != nil {
-			return fmt.Errorf("%w (retrying after: %v)", serr, lastErr)
+			return fmt.Errorf("%w (retrying after: %v)", serr, err)
 		}
 	}
 }

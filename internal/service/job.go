@@ -19,6 +19,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -333,13 +334,10 @@ type job struct {
 	// req is the submission the planner runs — for delta requests, the
 	// DERIVED self-contained form. Journaled alongside non-terminal states
 	// so a restarted server can re-queue the job (and with done states so
-	// the spec can seed future deltas); attempts counts how many server
-	// lives have started it.
-	req      *Request
-	attempts int
-	// base is the resolved base fingerprint for delta jobs; warm is the
-	// base plan decoded against the derived problem (nil = plan cold).
-	base string
+	// the spec can seed future deltas).
+	req *Request
+	// warm is the base plan decoded against the derived problem (nil = plan
+	// cold).
 	warm *core.Solution
 
 	// persistMu serializes the job's record writes, snapshot through
@@ -347,20 +345,15 @@ type job struct {
 	// "queued") cannot land after a newer one (the worker's "running").
 	persistMu sync.Mutex
 
-	mu              sync.Mutex
-	state           State
-	submitted       time.Time
-	started         time.Time
-	finished        time.Time
-	progress        Progress
-	errMsg          string
-	cacheHit        bool
+	mu sync.Mutex
+	// st is the job's client-visible state, the one copy of it: status()
+	// returns it, the record journals it, and a restart rebuilds it from
+	// the record. Its pointers and Chain are replaced, never written
+	// through, so a plain copy is a snapshot.
+	st              Status
 	cancel          func() // non-nil while running
 	cancelRequested bool
 	result          *Result
-	// warmInfo is filled by the planner's OnWarmStart hook once the run
-	// actually seeded from the base plan.
-	warmInfo *core.WarmStartInfo
 	// lastBeat is the job's liveness heartbeat while running: bumped at
 	// start and on every planner Progress callback; the stuck-job watchdog
 	// fails jobs whose heartbeat goes quiet for Options.StuckTimeout.
@@ -368,16 +361,19 @@ type job struct {
 	// stalled marks a job the watchdog cancelled; the terminal transition
 	// maps it to StateFailed rather than StateCancelled.
 	stalled bool
-	// provenance is where the job's answer came from (Provenance*
-	// constants); chain is the ordered list of planning stages attempted
-	// ("zoo", "warm", "cold").
-	provenance string
-	chain      []string
 
-	// terminal is closed exactly once when the job reaches a terminal
-	// state; drain and tests wait on it.
+	// terminal is closed once the job is terminal and counted (see
+	// Manager.finishLocked); tests wait on it.
 	terminal chan struct{}
 }
+
+// restoredTerminal is the terminal channel of every job that is already
+// terminal when it is loaded from the store: closed once, shared by all.
+var restoredTerminal = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 func newJobID() string {
 	var b [8]byte
@@ -391,33 +387,7 @@ func newJobID() string {
 func (j *job) status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	s := Status{
-		ID:          j.id,
-		State:       j.state,
-		SubmittedAt: j.submitted,
-		Progress:    j.progress,
-		Error:       j.errMsg,
-		CacheHit:    j.cacheHit,
-		Certify:     j.certify,
-		Attempts:    j.attempts,
-		Fingerprint: j.fingerprint,
-		Base:        j.base,
-		Provenance:  j.provenance,
-		Chain:       append([]string(nil), j.chain...),
-	}
-	if j.warmInfo != nil {
-		w := *j.warmInfo
-		s.Warm = &w
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		s.StartedAt = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		s.FinishedAt = &t
-	}
-	return s
+	return j.st
 }
 
 // noteAttempt appends one planning stage to the job's attempt chain and
@@ -425,7 +395,8 @@ func (j *job) status() Status {
 // stuck-job watchdog is concerned).
 func (j *job) noteAttempt(stage string) {
 	j.mu.Lock()
-	j.chain = append(j.chain, stage)
+	// Clipped, the append copies instead of writing a snapshot's array.
+	j.st.Chain = append(slices.Clip(j.st.Chain), stage)
 	j.lastBeat = time.Now()
 	j.mu.Unlock()
 }
@@ -434,13 +405,6 @@ func (j *job) noteAttempt(stage string) {
 func (j *job) beat() {
 	j.mu.Lock()
 	j.lastBeat = time.Now()
-	j.mu.Unlock()
-}
-
-// setProvenance records where the job's answer came from.
-func (j *job) setProvenance(p string) {
-	j.mu.Lock()
-	j.provenance = p
 	j.mu.Unlock()
 }
 

@@ -93,7 +93,9 @@ type Options struct {
 	// production.
 	Fault *fault.Injector
 	// Metrics receives the nptsn_service_* series and, shared with every
-	// job's planner, the nptsn_* training series. Nil disables metrics.
+	// job's planner, the nptsn_* training series. When nil, the service
+	// series go to a private registry nobody scrapes, and the planners
+	// record none.
 	Metrics *obsv.Registry
 	// Events receives JSON-lines job lifecycle events (see the Event*
 	// constants). Unlike the planner's sink, an emission error does not
@@ -193,7 +195,7 @@ func New(opt Options) (*Manager, error) {
 		testZooTamper: opt.testZooTamper,
 	}
 	if opt.Zoo != nil {
-		m.met.setZooSize(opt.Zoo.Len())
+		m.met.zooSize.Set(float64(opt.Zoo.Len()))
 	}
 	if opt.VerdictCacheSize > 0 {
 		m.verdicts = failure.NewCache(opt.VerdictCacheSize)
@@ -208,26 +210,12 @@ func New(opt Options) (*Manager, error) {
 			id:          rec.Status.ID,
 			fingerprint: rec.Status.Fingerprint,
 			certify:     rec.Status.Certify,
-			attempts:    rec.Attempts,
-			state:       rec.Status.State,
-			submitted:   rec.Status.SubmittedAt,
-			progress:    rec.Status.Progress,
-			errMsg:      rec.Status.Error,
-			cacheHit:    rec.Status.CacheHit,
-			provenance:  rec.Status.Provenance,
-			chain:       rec.Status.Chain,
+			st:          rec.Status,
 			result:      rec.Result,
-			terminal:    make(chan struct{}),
+			terminal:    restoredTerminal,
 		}
-		if rec.Status.StartedAt != nil {
-			j.started = *rec.Status.StartedAt
-		}
-		if rec.Status.FinishedAt != nil {
-			j.finished = *rec.Status.FinishedAt
-		}
-		close(j.terminal)
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
+		j.st.Attempts = rec.Attempts
+		m.trackLocked(j)
 		// Re-seed the plan cache from done, uninterrupted results so a
 		// re-submission after restart is still a hit. Cache-hit records
 		// count too: they carry a full copy of the finished result, and the
@@ -250,7 +238,7 @@ func New(opt Options) (*Manager, error) {
 		m.requeue(rec)
 	}
 	if len(quarantined) > 0 {
-		m.met.addSkipped(len(quarantined))
+		m.met.skipped.Add(float64(len(quarantined)))
 		m.emit(obsv.Event{Type: EventStoreCorrupt, Msg: strings.Join(quarantined, "; "),
 			V: map[string]float64{"records": float64(len(quarantined))}})
 	}
@@ -270,58 +258,57 @@ func New(opt Options) (*Manager, error) {
 // every time it runs must not crash-loop forever). Runs during New, before
 // the worker pool starts.
 func (m *Manager) requeue(rec record) {
+	prep, err := prepare(*rec.Request)
+	if err == nil {
+		rec.Status.Fingerprint = prep.fingerprint
+	}
+	// This life starts the journaled job over: its identity and submission
+	// time carry across, the interrupted run's progress does not.
 	j := &job{
 		id:          rec.Status.ID,
 		fingerprint: rec.Status.Fingerprint,
-		submitted:   rec.Status.SubmittedAt,
-		attempts:    rec.Attempts + 1,
-		terminal:    make(chan struct{}),
+		prob:        prep.prob,
+		cfg:         prep.cfg,
+		certify:     rec.Status.Certify,
+		certSamples: prep.certSamples,
+		timeout:     prep.timeout,
+		req:         rec.Request,
+		st: Status{
+			ID:          rec.Status.ID,
+			State:       StateQueued,
+			SubmittedAt: rec.Status.SubmittedAt,
+			Progress:    Progress{TotalEpochs: prep.cfg.MaxEpoch},
+			Certify:     rec.Status.Certify,
+			Attempts:    rec.Attempts + 1,
+			Fingerprint: rec.Status.Fingerprint,
+			Base:        rec.Status.Base,
+		},
+		terminal: make(chan struct{}),
 	}
-	prep, err := prepare(*rec.Request)
+	m.trackLocked(j)
+	// Either way the on-disk journal advances: the attempt counter is
+	// bumped before the job runs (so a crash loop counts every life), and
+	// an abandoned job's terminal record replaces its journal entry.
 	switch {
 	case err != nil:
 		// The journaled request prepared at submit time; if it no longer
 		// does (a format change across the restart), fail it visibly
 		// rather than dropping it.
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("restart recovery: %v", err)
-		j.finished = time.Now().UTC()
-		close(j.terminal)
-	case j.attempts > m.opt.MaxAttempts:
-		j.fingerprint = prep.fingerprint
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("abandoned: %d attempts were interrupted by crashes or restarts (max %d)",
-			rec.Attempts, m.opt.MaxAttempts)
-		j.finished = time.Now().UTC()
-		close(j.terminal)
+		m.finishLocked(j, StateFailed, fmt.Sprintf("restart recovery: %v", err), nil)
+	case j.st.Attempts > m.opt.MaxAttempts:
+		m.finishLocked(j, StateFailed, fmt.Sprintf("abandoned: %d attempts were interrupted by crashes or restarts (max %d)",
+			rec.Attempts, m.opt.MaxAttempts), nil)
 	default:
-		j.fingerprint = prep.fingerprint
-		j.prob = prep.prob
-		j.cfg = prep.cfg
-		j.certify = prep.certify
-		j.certSamples = prep.certSamples
-		j.timeout = prep.timeout
-		j.req = rec.Request
-		j.state = StateQueued
-		j.progress.TotalEpochs = prep.cfg.MaxEpoch
 		m.specs[prep.fingerprint] = rec.Request
-	}
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
-	if j.state == StateQueued {
 		m.queue <- j // capacity reserved above; never blocks
-		m.met.incRequeued()
-		m.met.addQueueDepth(1)
-		m.emit(obsv.Event{Type: EventRequeued, Msg: j.id, V: map[string]float64{"attempt": float64(j.attempts)}})
-	} else {
-		m.met.incFailed()
-		m.met.incPoisoned()
-		m.emit(obsv.Event{Type: EventPoisoned, Msg: j.id, V: map[string]float64{"attempts": float64(rec.Attempts)}})
+		m.met.requeued.Inc()
+		m.met.queueDepth.Add(1)
+		m.emit(obsv.Event{Type: EventRequeued, Msg: j.id, V: map[string]float64{"attempt": float64(j.st.Attempts)}})
+		m.persist(j)
+		return
 	}
-	// Either way the on-disk journal advances: the attempt counter is
-	// bumped before the job runs (so a crash loop counts every life), and
-	// an abandoned job's terminal record replaces its journal entry.
-	m.persist(j)
+	m.met.poisoned.Inc()
+	m.closeOut(j, obsv.Event{Type: EventPoisoned, Msg: j.id, V: map[string]float64{"attempts": float64(rec.Attempts)}})
 }
 
 // Submit validates a request and either answers it from the plan cache or
@@ -356,7 +343,7 @@ func (m *Manager) Submit(req Request) (Status, error) {
 		if ws, werr := serialize.DecodeSolution(*warmSol, prep.prob.Connections); werr == nil {
 			warm = ws
 		} else {
-			m.met.incWarmDegraded()
+			m.met.warmDeg.Inc()
 			m.emit(obsv.Event{Type: EventWarmDegraded, Msg: baseFp + ": " + werr.Error()})
 		}
 	}
@@ -369,13 +356,18 @@ func (m *Manager) Submit(req Request) (Status, error) {
 		certSamples: prep.certSamples,
 		timeout:     prep.timeout,
 		req:         &req,
-		base:        baseFp,
 		warm:        warm,
-		state:       StateQueued,
-		submitted:   time.Now().UTC(),
 		terminal:    make(chan struct{}),
 	}
-	j.progress.TotalEpochs = prep.cfg.MaxEpoch
+	j.st = Status{
+		ID:          j.id,
+		State:       StateQueued,
+		SubmittedAt: time.Now().UTC(),
+		Progress:    Progress{TotalEpochs: prep.cfg.MaxEpoch},
+		Certify:     j.certify,
+		Fingerprint: j.fingerprint,
+		Base:        baseFp,
+	}
 
 	m.mu.Lock()
 	if m.draining {
@@ -393,49 +385,52 @@ func (m *Manager) Submit(req Request) (Status, error) {
 		// computed); the job's own status says "cache".
 		r := *res
 		r.JobID = j.id
-		j.state = StateDone
-		j.cacheHit = true
-		j.provenance = ProvenanceCache
-		j.finished = j.submitted
-		j.result = &r
-		j.progress = Progress{
+		j.st.CacheHit = true
+		j.st.Provenance = ProvenanceCache
+		j.st.Progress = Progress{
 			Epoch:        r.Epochs,
 			TotalEpochs:  prep.cfg.MaxEpoch,
 			BestCost:     r.Cost,
 			GuaranteeMet: r.GuaranteeMet,
 		}
-		close(j.terminal)
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
+		m.met.cacheHits.Inc()
+		m.finishLocked(j, StateDone, "", &r)
+		m.trackLocked(j)
 		m.registerSpecLocked(j.fingerprint, &req)
 		m.mu.Unlock()
-		m.met.incCacheHit()
-		m.met.incDone()
-		m.emit(obsv.Event{Type: EventCacheHit, Msg: j.id})
-		m.persist(j)
+		m.closeOut(j, obsv.Event{Type: EventCacheHit, Msg: j.id})
 		return j.status(), nil
 	}
+	// The answer is snapshotted while the job is still private: once it is
+	// on the queue, a worker may start it at any moment.
+	st := j.st
 	select {
 	case m.queue <- j:
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
+		m.trackLocked(j)
 		m.registerSpecLocked(j.fingerprint, &req)
 		depth := len(m.queue)
 		m.mu.Unlock()
-		m.met.incCacheMiss()
-		m.met.incSubmitted()
-		m.met.addQueueDepth(1)
+		m.met.cacheMiss.Inc()
+		m.met.submitted.Inc()
+		m.met.queueDepth.Add(1)
 		m.emit(obsv.Event{Type: EventSubmitted, Msg: j.id, V: map[string]float64{"queue_depth": float64(depth)}})
 		// Journal the accepted job (with its request) before answering 202:
 		// from here on a crash must re-queue it, not lose it.
 		m.persist(j)
-		return j.status(), nil
+		return st, nil
 	default:
 		m.mu.Unlock()
-		m.met.incRejected()
+		m.met.rejected.Inc()
 		m.emit(obsv.Event{Type: EventRejected, V: map[string]float64{"queue_size": float64(m.opt.QueueSize)}})
 		return Status{}, ErrQueueFull
 	}
+}
+
+// trackLocked adds a job to the job table, last in submission order.
+// Caller holds m.mu, or is New before the worker pool starts.
+func (m *Manager) trackLocked(j *job) {
+	m.jobs[j.id] = j
+	m.order = append(m.order, j.id)
 }
 
 // registerSpecLocked records an accepted request's self-contained spec
@@ -485,7 +480,7 @@ func (m *Manager) resolveDelta(req Request) (Request, string, *serialize.Solutio
 	if err != nil {
 		return Request{}, "", nil, err
 	}
-	m.met.incDelta()
+	m.met.deltas.Inc()
 	var warmSol *serialize.SolutionJSON
 	if cached != nil && cached.Solution != nil && !cached.Interrupted {
 		warmSol = cached.Solution
@@ -512,14 +507,14 @@ func (m *Manager) Result(id string) (*Result, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.state.Terminal() {
+	if !j.st.State.Terminal() {
 		return nil, ErrNotTerminal
 	}
 	if j.result == nil {
-		if j.errMsg != "" {
-			return nil, fmt.Errorf("service: job %s %s: %s", id, j.state, j.errMsg)
+		if j.st.Error != "" {
+			return nil, fmt.Errorf("service: job %s %s: %s", id, j.st.State, j.st.Error)
 		}
-		return nil, fmt.Errorf("service: job %s %s without a result", id, j.state)
+		return nil, fmt.Errorf("service: job %s %s without a result", id, j.st.State)
 	}
 	return j.result, nil
 }
@@ -549,7 +544,7 @@ func (m *Manager) Cancel(id string) (Status, error) {
 		return Status{}, ErrNotFound
 	}
 	j.mu.Lock()
-	switch j.state {
+	switch j.st.State {
 	case StateQueued:
 		m.cancelQueued(j, "cancelled while queued")
 	case StateRunning:
@@ -566,16 +561,39 @@ func (m *Manager) Cancel(id string) (Status, error) {
 }
 
 // cancelQueued moves a job that never ran to cancelled with the given
-// message, then counts, announces and journals it. Called with j.mu held;
-// releases it.
+// message, then announces and journals it. Called with j.mu held; releases
+// it.
 func (m *Manager) cancelQueued(j *job, msg string) {
-	j.state = StateCancelled
-	j.errMsg = msg
-	j.finished = time.Now().UTC()
-	close(j.terminal)
+	m.finishLocked(j, StateCancelled, msg, nil)
 	j.mu.Unlock()
-	m.met.incCancelled()
-	m.emit(obsv.Event{Type: EventCancelled, Msg: j.id})
+	m.closeOut(j, obsv.Event{Type: EventCancelled, Msg: j.id})
+}
+
+// finishLocked is the one terminal transition every job goes through: it
+// sets the final state, error message, finish time and result, and counts
+// the outcome, all before it closes j.terminal — whoever sees the job
+// terminal also sees it counted. Caller holds j.mu, or j is not shared
+// yet; the announcement and the record write follow in closeOut, once the
+// caller has released its locks.
+func (m *Manager) finishLocked(j *job, state State, errMsg string, res *Result) {
+	now := time.Now().UTC()
+	j.st.State, j.st.Error, j.st.FinishedAt = state, errMsg, &now
+	j.result = res
+	j.cancel = nil
+	switch state {
+	case StateDone:
+		m.met.done.Inc()
+	case StateCancelled:
+		m.met.cancelled.Inc()
+	default:
+		m.met.failed.Inc()
+	}
+	close(j.terminal)
+}
+
+// closeOut announces a finished job and journals its terminal record.
+func (m *Manager) closeOut(j *job, ev obsv.Event) {
+	m.emit(ev)
 	m.persist(j)
 }
 
@@ -587,11 +605,8 @@ func (m *Manager) Delete(id string) error {
 	if j == nil {
 		return ErrNotFound
 	}
-	j.mu.Lock()
-	terminal := j.state.Terminal()
-	j.mu.Unlock()
-	if !terminal {
-		return fmt.Errorf("service: job %s is %s; cancel it first", id, j.status().State)
+	if state := j.status().State; !state.Terminal() {
+		return fmt.Errorf("service: job %s is %s; cancel it first", id, state)
 	}
 	m.mu.Lock()
 	delete(m.jobs, id)
@@ -663,7 +678,7 @@ func (m *Manager) isDraining() bool {
 func (m *Manager) workerLoop() {
 	defer m.wg.Done()
 	for j := range m.queue {
-		m.met.addQueueDepth(-1)
+		m.met.queueDepth.Add(-1)
 		m.runJob(j)
 	}
 }
@@ -676,7 +691,7 @@ func (m *Manager) runJob(j *job) {
 	// locks), so j.mu → m.mu here would be a lock-order inversion.
 	draining := m.isDraining()
 	j.mu.Lock()
-	if j.state.Terminal() {
+	if j.st.State.Terminal() {
 		j.mu.Unlock()
 		return
 	}
@@ -699,16 +714,16 @@ func (m *Manager) runJob(j *job) {
 	defer cancel()
 
 	now := time.Now().UTC()
-	j.state = StateRunning
-	j.started = now
+	j.st.State = StateRunning
+	j.st.StartedAt = &now
 	j.lastBeat = now
 	j.cancel = cancel
-	wait := now.Sub(j.submitted)
+	wait := now.Sub(j.st.SubmittedAt)
 	j.mu.Unlock()
 
-	m.met.addRunning(1)
-	defer m.met.addRunning(-1)
-	m.met.observeWait(wait)
+	m.met.running.Add(1)
+	defer m.met.running.Add(-1)
+	m.met.waitSecs.Observe(wait.Seconds())
 	m.emit(obsv.Event{Type: EventStart, Msg: j.id, V: map[string]float64{"wait_seconds": wait.Seconds()}})
 	// Journal the running transition before planning starts, so a crash
 	// mid-plan leaves a running record behind for the next boot to re-queue.
@@ -722,61 +737,44 @@ func (m *Manager) runJob(j *job) {
 	// m.mu is held across the terminal transition (lock order m.mu → j.mu)
 	// so the plan cache learns a done result before anyone can see the job
 	// finish: a client that re-submits on seeing "done" must hit it.
+	// Every outcome keeps the result: a cancelled or failed run keeps its
+	// best-so-far plan when it had one.
 	m.mu.Lock()
 	j.mu.Lock()
-	j.cancel = nil
-	j.finished = time.Now().UTC()
-	run := j.finished.Sub(j.started)
-	cancelled := j.cancelRequested
-	stalled := j.stalled
+	state := StateFailed
 	switch {
-	case stalled:
+	case j.stalled:
 		// The watchdog cancelled a job whose heartbeat went quiet; that is
 		// a failure of the job, not a client cancellation.
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("stalled: no progress heartbeat for %s; interrupted by the watchdog", m.opt.StuckTimeout)
-		j.result = res
-	case cancelled:
-		j.state = StateCancelled
-		j.errMsg = "cancelled"
-		j.result = res // best-so-far, when the interrupted run had one
-	case errMsg != "":
-		j.state = StateFailed
-		j.errMsg = errMsg
-		j.result = res
-	default:
-		j.state = StateDone
-		j.result = res
+		errMsg = fmt.Sprintf("stalled: no progress heartbeat for %s; interrupted by the watchdog", m.opt.StuckTimeout)
+	case j.cancelRequested:
+		state, errMsg = StateCancelled, "cancelled"
+	case errMsg == "":
+		state = StateDone
 		// Only deterministic outcomes enter the cache: an interrupted run
 		// (deadline, drain) could complete differently given more time.
 		if res != nil && !res.Interrupted {
 			m.cache[j.fingerprint] = res
 		}
 	}
-	state := j.state
-	close(j.terminal)
+	m.finishLocked(j, state, errMsg, res)
+	run := j.st.FinishedAt.Sub(now)
 	j.mu.Unlock()
 	m.mu.Unlock()
 
-	m.met.observeRun(run)
+	m.met.runSecs.Observe(run.Seconds())
 	m.noteRun(run)
-	ev := obsv.Event{Msg: j.id, V: map[string]float64{"run_seconds": run.Seconds()}}
+	ev := obsv.Event{Type: EventFailed, Msg: j.id, V: map[string]float64{"run_seconds": run.Seconds()}}
 	switch state {
 	case StateDone:
-		m.met.incDone()
 		ev.Type = EventDone
 		if res != nil && res.Solution != nil {
 			ev.V["cost"] = res.Cost
 		}
 	case StateCancelled:
-		m.met.incCancelled()
 		ev.Type = EventCancelled
-	default:
-		m.met.incFailed()
-		ev.Type = EventFailed
 	}
-	m.emit(ev)
-	m.persist(j)
+	m.closeOut(j, ev)
 }
 
 // planSafe runs plan with per-job panic containment: a panicking planning
@@ -792,14 +790,14 @@ func (m *Manager) planSafe(ctx context.Context, j *job) (res *Result, errMsg str
 			return
 		}
 		res, errMsg = nil, fmt.Sprintf("panic: %v", r)
-		m.met.incPanic()
+		m.met.panics.Inc()
 		m.mu.Lock()
 		m.panics[j.fingerprint]++
 		n := m.panics[j.fingerprint]
 		m.mu.Unlock()
 		m.emit(obsv.Event{Type: EventPanic, Msg: j.id, V: map[string]float64{"fingerprint_panics": float64(n)}})
 		if n == m.opt.PoisonPanics {
-			m.met.incPoisoned()
+			m.met.poisoned.Inc()
 			m.emit(obsv.Event{Type: EventPoisoned, Msg: j.fingerprint, V: map[string]float64{"panics": float64(n)}})
 		}
 	}()
@@ -922,9 +920,9 @@ func (m *Manager) train(ctx context.Context, j *job) (candidate, error) {
 		cfg.OnWarmStart = func(info core.WarmStartInfo) {
 			j.mu.Lock()
 			j.lastBeat = time.Now()
-			j.warmInfo = &info
+			j.st.Warm = &info
 			j.mu.Unlock()
-			m.met.incWarm()
+			m.met.warm.Inc()
 			m.emit(obsv.Event{Type: EventWarmStart, Msg: j.id, V: map[string]float64{
 				"seeded_links":  float64(info.SeededLinks),
 				"dropped_links": float64(info.DroppedLinks),
@@ -935,12 +933,13 @@ func (m *Manager) train(ctx context.Context, j *job) (candidate, error) {
 	cfg.Progress = func(es core.EpochStats) {
 		j.mu.Lock()
 		j.lastBeat = time.Now()
-		j.progress.Epoch = es.Epoch
-		j.progress.Reward = es.Reward
-		j.progress.Solutions += es.Solutions
+		p := &j.st.Progress
+		p.Epoch = es.Epoch
+		p.Reward = es.Reward
+		p.Solutions += es.Solutions
 		if es.BestCost > 0 {
-			j.progress.BestCost = es.BestCost
-			j.progress.GuaranteeMet = true
+			p.BestCost = es.BestCost
+			p.GuaranteeMet = true
 		}
 		j.mu.Unlock()
 		if obs := m.opt.Progress; obs != nil {
@@ -968,7 +967,9 @@ func (m *Manager) train(ctx context.Context, j *job) (candidate, error) {
 	if err != nil {
 		return c, err
 	}
-	j.setProvenance(c.provenance)
+	j.mu.Lock()
+	j.st.Provenance = c.provenance
+	j.mu.Unlock()
 	c.sol, c.epochs, c.interrupted = report.Best, len(report.Epochs), report.Interrupted
 	return c, nil
 }
@@ -990,12 +991,12 @@ func (m *Manager) tryZoo(ctx context.Context, j *job) *Result {
 	if err != nil {
 		// A problem the SOAG rejects would have failed prepare already;
 		// treat it as a miss rather than failing the job here.
-		m.met.incZooMiss()
+		m.met.zooMisses.Inc()
 		return nil
 	}
 	match, ok := m.opt.Zoo.Lookup(geo, zoo.FeaturesOf(j.prob))
 	if !ok {
-		m.met.incZooMiss()
+		m.met.zooMisses.Inc()
 		m.emit(obsv.Event{Type: EventZooMiss, Msg: j.id})
 		return nil
 	}
@@ -1009,7 +1010,7 @@ func (m *Manager) tryZoo(ctx context.Context, j *job) *Result {
 		Streams: zooRolloutStreams,
 		Workers: cfg.Workers,
 	})
-	m.met.addZooSteps(stats.EnvSteps)
+	m.met.zooSteps.Add(float64(stats.EnvSteps))
 	var res *Result
 	switch {
 	case err != nil:
@@ -1023,20 +1024,20 @@ func (m *Manager) tryZoo(ctx context.Context, j *job) *Result {
 		c.sol = sol
 		res, err = m.accept(ctx, j, c, true)
 	}
-	m.met.observeZoo(time.Since(c.start))
+	m.met.zooSecs.Observe(time.Since(c.start).Seconds())
 	if err != nil {
-		m.met.incZooReject()
+		m.met.zooRejects.Inc()
 		m.emit(obsv.Event{Type: EventZooReject, Msg: j.id + ": " + err.Error(),
 			V: map[string]float64{"distance": match.Distance}})
 		return nil
 	}
 	j.mu.Lock()
-	j.provenance = ProvenanceZoo
-	j.progress.BestCost = sol.Cost
-	j.progress.GuaranteeMet = true
-	j.progress.Solutions = stats.Solved
+	j.st.Provenance = ProvenanceZoo
+	j.st.Progress.BestCost = sol.Cost
+	j.st.Progress.GuaranteeMet = true
+	j.st.Progress.Solutions = stats.Solved
 	j.mu.Unlock()
-	m.met.incZooHit()
+	m.met.zooHits.Inc()
 	m.emit(obsv.Event{Type: EventZooHit, Msg: j.id + " " + match.Entry.ID, V: map[string]float64{
 		"env_steps": float64(stats.EnvSteps),
 		"distance":  match.Distance,
@@ -1059,12 +1060,12 @@ func (m *Manager) ReloadZoo() (int, error) {
 		return 0, err
 	}
 	if len(quarantined) > 0 {
-		m.met.addZooCorrupt(len(quarantined))
+		m.met.zooCorrupt.Add(float64(len(quarantined)))
 		m.emit(obsv.Event{Type: EventZooCorrupt, Msg: strings.Join(quarantined, "; "),
 			V: map[string]float64{"files": float64(len(quarantined))}})
 	}
 	n := m.opt.Zoo.Len()
-	m.met.setZooSize(n)
+	m.met.zooSize.Set(float64(n))
 	return n, nil
 }
 
@@ -1111,9 +1112,8 @@ func (m *Manager) persist(j *job) {
 	}
 	j.persistMu.Lock()
 	defer j.persistMu.Unlock()
-	rec := record{Status: j.status(), Attempts: j.attempts}
 	j.mu.Lock()
-	rec.Result = j.result
+	rec := record{Status: j.st, Result: j.result, Attempts: j.st.Attempts}
 	j.mu.Unlock()
 	// Live jobs journal their request for crash recovery; done jobs keep it
 	// too, so the fingerprint's spec can seed delta bases across restarts.
@@ -1121,7 +1121,7 @@ func (m *Manager) persist(j *job) {
 		rec.Request = j.req
 	}
 	if err := saveRecord(m.opt.Dir, rec, m.fsFaults()); err != nil {
-		m.met.incStoreErr()
+		m.met.storeErrs.Inc()
 		m.emit(obsv.Event{Type: EventStoreError, Msg: err.Error()})
 	}
 }
@@ -1209,7 +1209,7 @@ func (m *Manager) sweepStuck() {
 	m.mu.Unlock()
 	for _, j := range candidates {
 		j.mu.Lock()
-		if j.state != StateRunning || j.stalled || j.lastBeat.IsZero() || !j.lastBeat.Before(cutoff) {
+		if j.st.State != StateRunning || j.stalled || j.lastBeat.IsZero() || !j.lastBeat.Before(cutoff) {
 			j.mu.Unlock()
 			continue
 		}
@@ -1217,7 +1217,7 @@ func (m *Manager) sweepStuck() {
 		quiet := time.Since(j.lastBeat)
 		cancel := j.cancel
 		j.mu.Unlock()
-		m.met.incStalled()
+		m.met.stalled.Inc()
 		m.emit(obsv.Event{Type: EventStalled, Msg: j.id, V: map[string]float64{"stalled_seconds": quiet.Seconds()}})
 		if cancel != nil {
 			cancel()
@@ -1231,6 +1231,6 @@ func (m *Manager) emit(e obsv.Event) {
 		return
 	}
 	if err := m.opt.Events.Emit(e); err != nil {
-		m.met.incEventErr()
+		m.met.eventErrs.Inc()
 	}
 }

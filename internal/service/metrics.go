@@ -1,10 +1,6 @@
 package service
 
-import (
-	"time"
-
-	"repro/internal/obsv"
-)
+import "repro/internal/obsv"
 
 // Service lifecycle event types, emitted to Options.Events as JSON lines.
 // Msg carries the job ID; V carries the numeric payload.
@@ -67,8 +63,7 @@ const (
 	EventZooCorrupt = "zoo_corrupt"
 )
 
-// metrics bundles the nptsn_service_* instrument handles. A nil *metrics
-// is valid and records nothing, mirroring the planner's convention.
+// metrics bundles the nptsn_service_* instrument handles; none is nil.
 type metrics struct {
 	submitted  *obsv.Counter
 	done       *obsv.Counter
@@ -100,9 +95,11 @@ type metrics struct {
 	zooSecs    *obsv.Histogram
 }
 
+// newMetrics registers the handles on reg, or on a private registry when
+// reg is nil, so call sites never check.
 func newMetrics(reg *obsv.Registry) *metrics {
 	if reg == nil {
-		return nil
+		reg = obsv.NewRegistry()
 	}
 	return &metrics{
 		submitted:  reg.Counter("nptsn_service_jobs_submitted_total", "Planning jobs accepted into the queue (cache hits excluded)."),
@@ -133,87 +130,5 @@ func newMetrics(reg *obsv.Registry) *metrics {
 		waitSecs:   reg.Histogram("nptsn_service_wait_seconds", "Queue wait per job (submit to start).", obsv.DurationBuckets),
 		runSecs:    reg.Histogram("nptsn_service_run_seconds", "Planning wall-clock per job (start to finish).", obsv.DurationBuckets),
 		zooSecs:    reg.Histogram("nptsn_zoo_rollout_seconds", "Wall-clock per zoo rollout attempt (lookup to accept-gate verdict).", obsv.DurationBuckets),
-	}
-}
-
-func (m *metrics) observeWait(d time.Duration) {
-	if m != nil {
-		m.waitSecs.Observe(d.Seconds())
-	}
-}
-
-func (m *metrics) observeRun(d time.Duration) {
-	if m != nil {
-		m.runSecs.Observe(d.Seconds())
-	}
-}
-
-func (m *metrics) addQueueDepth(delta float64) {
-	if m != nil {
-		m.queueDepth.Add(delta)
-	}
-}
-
-func (m *metrics) addRunning(delta float64) {
-	if m != nil {
-		m.running.Add(delta)
-	}
-}
-
-func (m *metrics) incSubmitted() { m.safeInc(func() *obsv.Counter { return m.submitted }) }
-func (m *metrics) incDone()      { m.safeInc(func() *obsv.Counter { return m.done }) }
-func (m *metrics) incFailed()    { m.safeInc(func() *obsv.Counter { return m.failed }) }
-func (m *metrics) incCancelled() { m.safeInc(func() *obsv.Counter { return m.cancelled }) }
-func (m *metrics) incRejected()  { m.safeInc(func() *obsv.Counter { return m.rejected }) }
-func (m *metrics) incCacheHit()  { m.safeInc(func() *obsv.Counter { return m.cacheHits }) }
-func (m *metrics) incCacheMiss() { m.safeInc(func() *obsv.Counter { return m.cacheMiss }) }
-func (m *metrics) incEventErr()  { m.safeInc(func() *obsv.Counter { return m.eventErrs }) }
-func (m *metrics) incStoreErr()  { m.safeInc(func() *obsv.Counter { return m.storeErrs }) }
-func (m *metrics) incPanic()     { m.safeInc(func() *obsv.Counter { return m.panics }) }
-func (m *metrics) incStalled()   { m.safeInc(func() *obsv.Counter { return m.stalled }) }
-func (m *metrics) incRequeued()  { m.safeInc(func() *obsv.Counter { return m.requeued }) }
-func (m *metrics) incPoisoned()  { m.safeInc(func() *obsv.Counter { return m.poisoned }) }
-
-func (m *metrics) incDelta()        { m.safeInc(func() *obsv.Counter { return m.deltas }) }
-func (m *metrics) incWarm()         { m.safeInc(func() *obsv.Counter { return m.warm }) }
-func (m *metrics) incWarmDegraded() { m.safeInc(func() *obsv.Counter { return m.warmDeg }) }
-
-func (m *metrics) incZooHit()    { m.safeInc(func() *obsv.Counter { return m.zooHits }) }
-func (m *metrics) incZooMiss()   { m.safeInc(func() *obsv.Counter { return m.zooMisses }) }
-func (m *metrics) incZooReject() { m.safeInc(func() *obsv.Counter { return m.zooRejects }) }
-
-func (m *metrics) addZooSteps(n int) {
-	if m != nil && n > 0 {
-		m.zooSteps.Add(float64(n))
-	}
-}
-
-func (m *metrics) addZooCorrupt(n int) {
-	if m != nil && n > 0 {
-		m.zooCorrupt.Add(float64(n))
-	}
-}
-
-func (m *metrics) setZooSize(n int) {
-	if m != nil {
-		m.zooSize.Set(float64(n))
-	}
-}
-
-func (m *metrics) observeZoo(d time.Duration) {
-	if m != nil {
-		m.zooSecs.Observe(d.Seconds())
-	}
-}
-
-func (m *metrics) addSkipped(n int) {
-	if m != nil && n > 0 {
-		m.skipped.Add(float64(n))
-	}
-}
-
-func (m *metrics) safeInc(c func() *obsv.Counter) {
-	if m != nil {
-		c().Inc()
 	}
 }
