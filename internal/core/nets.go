@@ -46,6 +46,7 @@ type Nets struct {
 	numVertices int
 	featDim     int
 	embedCols   int // per-node embedding width after the GCN
+	gradCols    int // MLP input columns the trunk backpropagates: the embedding, or none
 	actionSpace int
 
 	// cached parameter lists (built once; callers must not mutate)
@@ -60,7 +61,7 @@ type Nets struct {
 	// update batch (LoadBatch), sized on the first update and reused
 	ops, feats []*nn.Matrix // per-observation trunk inputs
 	updX       nn.Matrix    // B×mlpIn MLP input; the parameter columns are set once
-	dEmb       nn.Matrix    // B·n×embedCols embedding gradient
+	dEmb       nn.Matrix    // B·n×embedCols view of the heads' input gradient
 }
 
 var _ rl.ActorCritic = (*Nets)(nil)
@@ -85,6 +86,10 @@ func NewNets(rng *rand.Rand, enc *Encoder, actionSpace int, cfg Config) (*Nets, 
 	}
 	embedCols := trunk.OutFeatures(featDim)
 	mlpIn := n*embedCols + enc.ParamDim()
+	gradCols := 0
+	if trunk.NumLayers() > 0 {
+		gradCols = n * embedCols
+	}
 	nt := &Nets{
 		gcn:         trunk,
 		useGAT:      cfg.UseGAT,
@@ -93,6 +98,7 @@ func NewNets(rng *rand.Rand, enc *Encoder, actionSpace int, cfg Config) (*Nets, 
 		numVertices: n,
 		featDim:     featDim,
 		embedCols:   embedCols,
+		gradCols:    gradCols,
 		actionSpace: actionSpace,
 		xRow:        nn.NewMatrix(1, mlpIn),
 		batchX:      new(nn.Matrix),
@@ -182,17 +188,15 @@ func (nt *Nets) batchInput() *nn.Matrix {
 	return &nt.updX
 }
 
-// backThroughTrunk backpropagates the embedding columns of the MLP input
-// gradient through the trunk (the parameter columns are constants).
+// backThroughTrunk backpropagates a head's input gradient, formed for the
+// embedding columns only (the parameter columns are constants), through
+// the trunk. Its B×(n·embedCols) rows are the trunk's stacked n×embedCols
+// blocks, so it is passed on as they are.
 func (nt *Nets) backThroughTrunk(dIn *nn.Matrix) {
-	if nt.gcn.NumLayers() == 0 {
+	if nt.gradCols == 0 {
 		return
 	}
-	embLen := nt.numVertices * nt.embedCols
-	nt.dEmb.EnsureShape(dIn.Rows*nt.numVertices, nt.embedCols)
-	for i := 0; i < dIn.Rows; i++ {
-		copy(nt.dEmb.Data[i*embLen:(i+1)*embLen], dIn.Data[i*dIn.Cols:i*dIn.Cols+embLen])
-	}
+	nt.dEmb = nn.Matrix{Rows: dIn.Rows * nt.numVertices, Cols: nt.embedCols, Data: dIn.Data}
 	nt.gcn.BackwardBatch(&nt.dEmb)
 }
 
@@ -202,7 +206,7 @@ func (nt *Nets) ForwardPolicyBatch() *nn.Matrix { return nt.actor.Forward(nt.bat
 
 // BackwardPolicyBatch implements rl.ActorCritic.
 func (nt *Nets) BackwardPolicyBatch(dLogits *nn.Matrix) {
-	nt.backThroughTrunk(nt.actor.Backward(dLogits))
+	nt.backThroughTrunk(nt.actor.Backward(dLogits, nt.gradCols))
 }
 
 // PolicyParams implements rl.ActorCritic: GCN trunk + actor head. The
@@ -215,7 +219,7 @@ func (nt *Nets) ForwardValueBatch() *nn.Matrix { return nt.critic.Forward(nt.bat
 
 // BackwardValueBatch implements rl.ActorCritic.
 func (nt *Nets) BackwardValueBatch(dValues *nn.Matrix) {
-	nt.backThroughTrunk(nt.critic.Backward(dValues))
+	nt.backThroughTrunk(nt.critic.Backward(dValues, nt.gradCols))
 }
 
 // ValueParams implements rl.ActorCritic: GCN trunk + critic head (cached,

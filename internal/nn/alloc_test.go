@@ -61,7 +61,7 @@ func TestMLPForwardBackwardAllocFree(t *testing.T) {
 	}
 	assertAllocFree(t, "mlp forward+backward", func() {
 		m.Forward(x)
-		m.Backward(dY)
+		m.Backward(dY, 6)
 	})
 }
 

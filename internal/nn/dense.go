@@ -33,12 +33,10 @@ func (a Activation) apply(dst, z []float64) {
 	case Identity:
 		copy(dst, z)
 	case ReLU:
+		// A mask clears the bits of negative inputs, with no branch to
+		// mispredict; −0 and NaN compare false and pass through.
 		for i, v := range z {
-			if v < 0 {
-				dst[i] = 0
-			} else {
-				dst[i] = v
-			}
+			dst[i] = math.Float64frombits(math.Float64bits(v) &^ -b2u(v < 0))
 		}
 	case Tanh:
 		for i, v := range z {
@@ -60,14 +58,12 @@ func (a Activation) backward(dst, dY, y []float64) {
 	case Identity:
 		copy(dst, dY)
 	case ReLU:
+		// dY·1 or dY·0, the factor selected by a mask rather than a
+		// branch. dY·0, not the constant 0: keeps zero signs and NaN
+		// propagation bit-identical to the Hadamard formulation.
+		one := math.Float64bits(1)
 		for i, v := range y {
-			if v > 0 {
-				dst[i] = dY[i] * 1
-			} else {
-				// dY·0, not the constant 0: keeps zero signs and NaN
-				// propagation bit-identical to the Hadamard formulation.
-				dst[i] = dY[i] * 0
-			}
+			dst[i] = dY[i] * math.Float64frombits(one&-b2u(v > 0))
 		}
 	case Tanh:
 		for i, v := range y {
@@ -146,7 +142,11 @@ func (d *Dense) Forward(x *Matrix) *Matrix {
 // Rows of a batch are summed into each gradient element in row order, so
 // one call on a B-row batch adds the same values, in the same order, as B
 // single-row calls would add to zeroed gradients.
-func (d *Dense) Backward(dY *Matrix) *Matrix {
+func (d *Dense) Backward(dY *Matrix) *Matrix { return d.backward(dY, d.In) }
+
+// backward is Backward forming the input gradient for the first inCols
+// input columns only: dX is batch×inCols.
+func (d *Dense) backward(dY *Matrix, inCols int) *Matrix {
 	if d.lastX == nil {
 		panic("nn: dense backward before forward")
 	}
@@ -159,7 +159,10 @@ func (d *Dense) Backward(dY *Matrix) *Matrix {
 			d.gradB.Data[c] += dZ.Data[r*dZ.Cols+c]
 		}
 	}
-	matMulBTInto(d.dX, dZ, d.W, &d.wT)
+	// Row j of W yields column j of dZ·Wᵀ, so the first inCols rows give
+	// the first inCols columns, each computed as in the full product.
+	d.dX.EnsureShape(dZ.Rows, inCols)
+	matMulBT(d.dX.Data, dZ.Data, d.W.Data[:inCols*d.Out], d.Out, inCols, &d.wT)
 	d.lastX = nil // the activations now hold dZ, not a forward cache
 	return d.dX
 }
@@ -203,13 +206,18 @@ func (m *MLP) Forward(x *Matrix) *Matrix {
 	return x
 }
 
-// Backward backpropagates and returns the input gradient (scratch owned by
-// the first layer).
-func (m *MLP) Backward(dY *Matrix) *Matrix {
-	for i := len(m.layers) - 1; i >= 0; i-- {
+// Backward backpropagates and returns the gradient with respect to the
+// first inCols input columns, batch×inCols (scratch owned by the first
+// layer). The columns after them are taken as constants: no gradient is
+// formed for them, and inCols 0 forms none at all.
+func (m *MLP) Backward(dY *Matrix, inCols int) *Matrix {
+	if in := m.layers[0].In; inCols < 0 || inCols > in {
+		panic(fmt.Sprintf("nn: mlp input gradient for %d of %d columns", inCols, in))
+	}
+	for i := len(m.layers) - 1; i > 0; i-- {
 		dY = m.layers[i].Backward(dY)
 	}
-	return dY
+	return m.layers[0].backward(dY, inCols)
 }
 
 // Params lists all layer parameters.

@@ -58,7 +58,8 @@ type GCNLayer struct {
 	acc []float64 // backward scratch: one row of (ŜH)ᵀ dZ
 	wT  []float64 // backward scratch: a tile of Wᵀ
 
-	blockSH, blockY []float64 // Ŝ H and activations of one batch observation
+	batchY  Matrix    // activations of a whole batch, one n-row block each
+	blockSH []float64 // Ŝ H of one batch observation
 }
 
 // NewGCNLayer builds a GCN layer with Xavier-initialized weights.
@@ -104,64 +105,71 @@ func (l *GCNLayer) Params() []Param {
 	return []Param{{Value: l.W, Grad: l.gradW, Name: "gcn.W"}}
 }
 
-// colSparse stores a stack of n×f blocks column by column, keeping only
-// the nonzero entries: column c of block b holds the entries
-// off[b·f+c] ≤ e < off[b·f+c+1], with row index row[e] (increasing) and
-// value val[e]. Products with it visit exactly the nonzero elements a
-// dense zero-skipping kernel multiplies, in the same order per output.
-type colSparse struct {
-	n, f int
-	off  []int32
-	row  []int32
-	val  []float64
+// sparseBlocks stores a stack of n×f blocks by their nonzero entries, in
+// two orders. Column c of block b holds the entries cOff[b·f+c] ≤ e <
+// cOff[b·f+c+1], with row index cIdx[e] (increasing) and value cVal[e];
+// row r holds rOff[b·n+r] ≤ e < rOff[b·n+r+1], with column index rIdx[e]
+// (increasing) and value rVal[e]. Each output row of a product with a
+// block, or with its transpose, is one rowSparse call over one row, or
+// column, of entries: it visits exactly the nonzero elements a dense
+// zero-skipping kernel multiplies, in the same order per output.
+type sparseBlocks struct {
+	n, f       int
+	cOff, rOff []int32
+	cIdx, rIdx []uint32
+	cVal, rVal []float64
 }
 
 // reset empties the store for blocks of n×f with room for nnz entries.
-func (s *colSparse) reset(n, f, nnz int) {
+func (s *sparseBlocks) reset(n, f, nnz int) {
 	s.n, s.f = n, f
-	s.off = append(s.off[:0], 0)
-	if cap(s.val) < nnz {
-		s.row, s.val = make([]int32, 0, nnz), make([]float64, 0, nnz)
+	s.cOff, s.rOff = append(s.cOff[:0], 0), append(s.rOff[:0], 0)
+	if cap(s.cVal) < nnz {
+		s.cIdx, s.cVal = make([]uint32, 0, nnz), make([]float64, 0, nnz)
+		s.rIdx, s.rVal = make([]uint32, 0, nnz), make([]float64, 0, nnz)
 	}
-	s.row, s.val = s.row[:0], s.val[:0]
+	s.cIdx, s.cVal, s.rIdx, s.rVal = s.cIdx[:0], s.cVal[:0], s.rIdx[:0], s.rVal[:0]
 }
 
 // appendBlock stores the dense row-major n×f block m.
-func (s *colSparse) appendBlock(m []float64) {
+func (s *sparseBlocks) appendBlock(m []float64) {
 	for c := 0; c < s.f; c++ {
 		for r := 0; r < s.n; r++ {
 			if v := m[r*s.f+c]; v != 0 {
-				s.row = append(s.row, int32(r))
-				s.val = append(s.val, v)
+				s.cIdx = append(s.cIdx, uint32(r))
+				s.cVal = append(s.cVal, v)
 			}
 		}
-		s.off = append(s.off, int32(len(s.val)))
+		s.cOff = append(s.cOff, int32(len(s.cVal)))
+	}
+	for r := 0; r < s.n; r++ {
+		for c, v := range m[r*s.f : (r+1)*s.f] {
+			if v != 0 {
+				s.rIdx = append(s.rIdx, uint32(c))
+				s.rVal = append(s.rVal, v)
+			}
+		}
+		s.rOff = append(s.rOff, int32(len(s.rVal)))
 	}
 }
 
-// mulInto computes dst (n×k) = block b × w (f×k). Each output element sums
-// its products over the block's columns in order, as matMul on the dense
-// block does.
-func (s *colSparse) mulInto(dst []float64, b int, w []float64, k int) {
-	clear(dst)
-	for c := 0; c < s.f; c++ {
-		wrow := w[c*k : (c+1)*k]
-		for e := s.off[b*s.f+c]; e < s.off[b*s.f+c+1]; e++ {
-			axpy(dst[int(s.row[e])*k:][:k], s.val[e], wrow)
-		}
+// mulInto computes dst (n×k) = block b × w (f×k), a row of entries per
+// output row: matMul on the dense block.
+func (s *sparseBlocks) mulInto(dst []float64, b int, w []float64, k int) {
+	for r := 0; r < s.n; r++ {
+		e0, e1 := s.rOff[b*s.n+r], s.rOff[b*s.n+r+1]
+		rowSparse(dst[r*k:(r+1)*k], s.rVal[e0:e1], s.rIdx[e0:e1], w, k)
 	}
 }
 
 // atAdd adds (block b)ᵀ × dZ (n×k) into dst (f×k), one row of the product
-// at a time through the scratch *acc — matMulATAdd on the dense block.
-func (s *colSparse) atAdd(dst []float64, b int, dZ []float64, k int, acc *[]float64) {
+// at a time through the scratch *acc: matMulATAdd on the dense block.
+func (s *sparseBlocks) atAdd(dst []float64, b int, dZ []float64, k int, acc *[]float64) {
 	*acc = ensureLen(*acc, k)
 	row := *acc
 	for c := 0; c < s.f; c++ {
-		clear(row)
-		for e := s.off[b*s.f+c]; e < s.off[b*s.f+c+1]; e++ {
-			axpy(row, s.val[e], dZ[int(s.row[e])*k:])
-		}
+		e0, e1 := s.cOff[b*s.f+c], s.cOff[b*s.f+c+1]
+		rowSparse(row, s.cVal[e0:e1], s.cIdx[e0:e1], dZ, k)
 		orow := dst[c*k : (c+1)*k][:len(row)]
 		for j, v := range row {
 			orow[j] += v
@@ -183,11 +191,13 @@ type GCN struct {
 	layers []*GCNLayer
 
 	// batch state (SetBatch); the scratch slices hold one observation
-	ops         []*Matrix // per-observation Ŝ (caller-owned)
-	sx          colSparse // per-observation Ŝ X, the first layer's input
-	out         Matrix    // batch embeddings (or features), one block each
-	dZ, dZW, dH []float64 // one observation's backward intermediates
-	acc         []float64 // one row of a weight gradient
+	batch       int          // observations in the batch
+	sx          sparseBlocks // per-observation Ŝ X, the first layer's input
+	sops        sparseBlocks // per-observation Ŝ, for the layers past the first
+	out         Matrix       // stacked features of a zero-layer GCN
+	forwarded   bool         // ForwardBatch ran since SetBatch or BackwardBatch
+	dZ, dZW, dH []float64    // one observation's backward intermediates
+	acc         []float64    // one row of a weight gradient
 }
 
 // NewGCN builds `numLayers` GCN layers mapping the input feature dimension
@@ -246,14 +256,14 @@ func (g *GCN) Backward(dY *Matrix) *Matrix {
 // ops[b] and feats[b] are observation b's n×n operator Ŝ and n×F node
 // features. The features are constants, so the first layer's Ŝ X is
 // computed here, once for every later forward of the batch, and kept by
-// its nonzero columns. ops is retained until the next SetBatch; an empty
-// batch releases it.
+// its nonzeros; so is Ŝ itself when there are layers past the first.
+// Neither slice is retained.
 func (g *GCN) SetBatch(ops, feats []*Matrix) {
 	if len(ops) != len(feats) {
 		panic(fmt.Sprintf("nn: gcn batch of %d operators and %d feature blocks", len(ops), len(feats)))
 	}
+	g.batch, g.forwarded = 0, false
 	if len(ops) == 0 {
-		g.ops = nil
 		return
 	}
 	n, f := feats[0].Rows, feats[0].Cols
@@ -263,7 +273,7 @@ func (g *GCN) SetBatch(ops, feats []*Matrix) {
 				b, ops[b].Rows, ops[b].Cols, feats[b].Rows, feats[b].Cols, n, n, n, f))
 		}
 	}
-	g.ops = ops
+	g.batch = len(ops)
 	if len(g.layers) == 0 {
 		g.out.EnsureShape(len(feats)*n, f)
 		for b, x := range feats {
@@ -277,89 +287,109 @@ func (g *GCN) SetBatch(ops, feats []*Matrix) {
 	nnz := 0
 	for b, x := range feats {
 		matMul(l.blockSH, ops[b].Data, x.Data, n, f)
-		for _, v := range l.blockSH {
-			if v != 0 {
-				nnz++
-			}
-		}
+		nnz += nonzeros(l.blockSH)
 	}
 	g.sx.reset(n, f, nnz)
 	for b, x := range feats {
 		matMul(l.blockSH, ops[b].Data, x.Data, n, f)
 		g.sx.appendBlock(l.blockSH)
 	}
+	if len(g.layers) == 1 {
+		return
+	}
+	nnz = 0
+	for _, s := range ops {
+		nnz += nonzeros(s.Data)
+	}
+	g.sops.reset(n, n, nnz)
+	for _, s := range ops {
+		g.sops.appendBlock(s.Data)
+	}
 }
 
-// forwardBlock runs batch observation b through every layer, leaving each
-// layer's propagated input and activations in its block scratch, and
-// returns the last layer's activations.
-func (g *GCN) forwardBlock(b int) []float64 {
-	n, s := g.sx.n, g.ops[b]
-	var h []float64
-	for i, l := range g.layers {
-		l.blockY = ensureLen(l.blockY, n*l.Out)
-		if i == 0 {
-			g.sx.mulInto(l.blockY, b, l.W.Data, l.Out)
-		} else {
-			l.blockSH = ensureLen(l.blockSH, n*l.In)
-			matMul(l.blockSH, s.Data, h, n, l.In)
-			matMul(l.blockY, l.blockSH, l.W.Data, l.In, l.Out)
+// nonzeros counts the nonzero elements of v.
+func nonzeros(v []float64) int {
+	n := 0
+	for _, x := range v {
+		if x != 0 {
+			n++
 		}
-		l.Act.apply(l.blockY, l.blockY)
-		h = l.blockY
 	}
-	return h
+	return n
 }
 
 // ForwardBatch evaluates the batch fixed by SetBatch and returns the
-// embeddings, one n-row block per observation: GCN-owned scratch (the
-// stacked features for a zero-layer GCN), valid until the next call.
+// embeddings, one n-row block per observation: the last layer's store (the
+// stacked features for a zero-layer GCN), valid until the next call. Every
+// layer keeps its activations for the whole batch in a store it owns,
+// sized on first use (B·n·Out floats), for BackwardBatch to read.
 func (g *GCN) ForwardBatch() *Matrix {
-	if len(g.ops) == 0 {
+	if g.batch == 0 {
 		panic("nn: gcn batch forward before SetBatch")
 	}
+	g.forwarded = true
 	if len(g.layers) == 0 {
 		return &g.out
 	}
-	n, e := g.sx.n, g.layers[len(g.layers)-1].Out
-	g.out.EnsureShape(len(g.ops)*n, e)
-	for b := range g.ops {
-		copy(g.out.Data[b*n*e:(b+1)*n*e], g.forwardBlock(b))
+	n := g.sx.n
+	for _, l := range g.layers {
+		l.batchY.EnsureShape(g.batch*n, l.Out)
 	}
-	return &g.out
+	for b := 0; b < g.batch; b++ {
+		var h []float64
+		for i, l := range g.layers {
+			y := l.batchY.Data[b*n*l.Out : (b+1)*n*l.Out]
+			if i == 0 {
+				g.sx.mulInto(y, b, l.W.Data, l.Out)
+			} else {
+				l.blockSH = ensureLen(l.blockSH, n*l.In)
+				g.sops.mulInto(l.blockSH, b, h, l.In)
+				matMul(y, l.blockSH, l.W.Data, l.In, l.Out)
+			}
+			l.Act.apply(y, y)
+			h = y
+		}
+	}
+	return &g.layers[len(g.layers)-1].batchY
 }
 
 // BackwardBatch backpropagates embedding gradients dY (stacked like
 // ForwardBatch's result) and accumulates the weight gradients, one
-// observation at a time in batch order. Only the embeddings are kept
-// between the passes: each observation's hidden activations are
-// recomputed from the cached Ŝ X right before its backward pass, which
-// costs a small share of the sparse first-layer product instead of a
-// batch-sized store per layer. The forward is deterministic, so the
-// recomputed values are the ones ForwardBatch produced. The input features
-// are constants, so no gradient is formed for them.
+// observation at a time in batch order. It reads the activations the
+// last ForwardBatch stored; a layer's propagated input Ŝ H is recomputed
+// per observation, one sparse product, rather than stored. The input
+// features are constants, so no gradient is formed for them. Each
+// ForwardBatch serves one BackwardBatch: without one since the last
+// SetBatch or BackwardBatch, it panics.
 func (g *GCN) BackwardBatch(dY *Matrix) {
+	if !g.forwarded {
+		panic("nn: gcn batch backward without a batch forward")
+	}
+	g.forwarded = false
 	if len(g.layers) == 0 {
 		return
 	}
-	n, s := g.sx.n, g.ops
-	e := g.layers[len(g.layers)-1].Out
-	for b := range s {
-		g.forwardBlock(b)
+	n, e := g.sx.n, g.layers[len(g.layers)-1].Out
+	if dY.Rows != g.batch*n || dY.Cols != e {
+		panic(fmt.Sprintf("nn: gcn batch backward of %dx%d, want %dx%d", dY.Rows, dY.Cols, g.batch*n, e))
+	}
+	for b := 0; b < g.batch; b++ {
 		d := dY.Data[b*n*e : (b+1)*n*e]
 		for i := len(g.layers) - 1; i >= 0; i-- {
 			l := g.layers[i]
 			g.dZ = ensureLen(g.dZ, n*l.Out)
-			l.Act.backward(g.dZ, d, l.blockY)
+			l.Act.backward(g.dZ, d, l.batchY.Data[b*n*l.Out:(b+1)*n*l.Out])
 			if i == 0 {
 				g.sx.atAdd(l.gradW.Data, b, g.dZ, l.Out, &g.acc)
 				break
 			}
+			l.blockSH = ensureLen(l.blockSH, n*l.In)
+			g.sops.mulInto(l.blockSH, b, g.layers[i-1].batchY.Data[b*n*l.In:(b+1)*n*l.In], l.In)
 			matMulATAdd(l.gradW.Data, l.blockSH, g.dZ, l.In, l.Out, &g.acc)
 			g.dZW = ensureLen(g.dZW, n*l.In)
 			matMulBT(g.dZW, g.dZ, l.W.Data, l.Out, l.In, &l.wT)
 			g.dH = ensureLen(g.dH, n*l.In)
-			matMul(g.dH, s[b].Data, g.dZW, n, l.In)
+			g.sops.mulInto(g.dH, b, g.dZW, l.In)
 			d = g.dH
 		}
 	}

@@ -149,7 +149,7 @@ func TestMLPGradientMatchesFiniteDifference(t *testing.T) {
 	for i := range dY.Data {
 		dY.Data[i] = float64(i + 1)
 	}
-	mlp.Backward(dY)
+	mlp.Backward(dY, 5)
 	assertGradsClose(t, mlp.Params(), numeric, 1e-5)
 }
 
@@ -254,6 +254,113 @@ func TestGCNBatchMatchesSingleBitForBit(t *testing.T) {
 	}
 }
 
+// TestMLPInputColumnsBitForBit: an input gradient formed for the leading
+// columns only is the full gradient's leading columns, bit for bit, and
+// the parameter gradients do not depend on how many columns are formed.
+func TestMLPInputColumnsBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	const in, batch = 13, 6
+	mlp := NewMLP(rng, in, []int{9, 7}, 3, Tanh)
+	x, dY := NewMatrix(batch, in), NewMatrix(batch, 3)
+	x.XavierInit(rng, in, 3)
+	dY.XavierInit(rng, 3, in)
+	backward := func(cols int) ([]float64, [][]float64) {
+		ZeroGrads(mlp.Params())
+		mlp.Forward(x)
+		dX := mlp.Backward(dY, cols)
+		if dX.Rows != batch || dX.Cols != cols {
+			t.Fatalf("input gradient for %d columns is %dx%d", cols, dX.Rows, dX.Cols)
+		}
+		return append([]float64(nil), dX.Data...), ExportWeights(gradsOf(mlp.Params()))
+	}
+	full, wantGrads := backward(in)
+	for _, cols := range []int{0, 1, 4, 8, in} {
+		dX, grads := backward(cols)
+		for r := 0; r < batch; r++ {
+			for c := 0; c < cols; c++ {
+				if got, want := dX[r*cols+c], full[r*in+c]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("cols=%d: dX[%d][%d] = %v, full gradient has %v", cols, r, c, got, want)
+				}
+			}
+		}
+		for p := range wantGrads {
+			for i := range wantGrads[p] {
+				if grads[p][i] != wantGrads[p][i] {
+					t.Fatalf("cols=%d: gradient %d element %d: %v, want %v", cols, p, i, grads[p][i], wantGrads[p][i])
+				}
+			}
+		}
+	}
+}
+
+// TestGCNBackwardBatchWithoutForwardPanics: BackwardBatch reads the
+// activations the last ForwardBatch stored, and each forward serves one
+// backward. Without a matching forward it would differentiate another
+// batch's activations, or none, and silently add a wrong gradient, so it
+// must panic and leave the gradients alone: after a SetBatch with no
+// forward, on a second call, and after a new SetBatch that follows a
+// forward.
+func TestGCNBackwardBatchWithoutForwardPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	const n, f, batch = 5, 3, 4
+	gcn := NewGCN(rng, 2, f, 4, 2)
+	var ops, feats []*Matrix
+	for b := 0; b < batch; b++ {
+		adj := NewMatrix(n, n)
+		for i := 0; i+1 < n; i++ {
+			adj.Set(i, i+1, 1)
+			adj.Set(i+1, i, 1)
+		}
+		x := NewMatrix(n, f)
+		x.XavierInit(rng, f, 2)
+		ops, feats = append(ops, NormalizeAdjacency(adj)), append(feats, x)
+	}
+	dY := NewMatrix(batch*n, 2)
+	dY.XavierInit(rng, n, 2)
+
+	cases := []struct {
+		name  string
+		setup func()
+	}{
+		{"SetBatch without forward", func() { gcn.SetBatch(ops, feats) }},
+		{"second backward", func() {
+			gcn.SetBatch(ops, feats)
+			gcn.ForwardBatch()
+			gcn.BackwardBatch(dY)
+		}},
+		{"SetBatch after forward", func() {
+			gcn.SetBatch(ops, feats)
+			gcn.ForwardBatch()
+			gcn.SetBatch(ops[:2], feats[:2])
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ZeroGrads(gcn.Params())
+			tc.setup()
+			want := ExportWeights(gradsOf(gcn.Params()))
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("BackwardBatch without a matching ForwardBatch did not panic")
+				}
+				if !strings.Contains(fmt.Sprint(r), "gcn batch backward without a batch forward") {
+					t.Fatalf("unhelpful panic: %v", r)
+				}
+				got := ExportWeights(gradsOf(gcn.Params()))
+				for p := range want {
+					for i := range want[p] {
+						if got[p][i] != want[p][i] {
+							t.Fatalf("gradient %d element %d changed: %v, want %v", p, i, got[p][i], want[p][i])
+						}
+					}
+				}
+			}()
+			gcn.BackwardBatch(dY)
+		})
+	}
+}
+
 // gradsOf views the gradients of ps as parameter values, for snapshotting.
 func gradsOf(ps []Param) []Param {
 	out := make([]Param, len(ps))
@@ -316,7 +423,7 @@ func TestMLPBatchedBackwardMatchesFiniteDifference(t *testing.T) {
 	for i, v := range y.Data {
 		dY.Data[i] = 2 * v * float64(i%2+1)
 	}
-	mlp.Backward(dY)
+	mlp.Backward(dY, 4)
 	assertGradsClose(t, mlp.Params(), numeric, 1e-4)
 }
 

@@ -22,7 +22,7 @@ var hasAVX2 = func() bool {
 	return ebx7&(1<<5) != 0
 }()
 
-// useAsm routes the row, axpy and Adam kernels through the AVX2
+// useAsm routes the row, sparse row and Adam kernels through the AVX2
 // assembly. Under the race detector the Go loops run instead, so the
 // detector still sees every kernel memory access. The kernel tests flip
 // it to run both paths.
@@ -32,7 +32,7 @@ var useAsm = hasAVX2 && !raceflag.Enabled
 func rowAVX2(dst *float64, n int, a *float64, k, astride int, b *float64, ldb int)
 
 //go:noescape
-func axpyAVX2(dst *float64, n int, alpha float64, x *float64)
+func rowSparseAVX2(dst *float64, n int, val *float64, idx *uint32, cnt int, b *float64, ldb int)
 
 //go:noescape
 func adamAVX2(p, grad, m, v *float64, n int, c *adamCoef)
@@ -61,19 +61,27 @@ func rowProduct(dst, a []float64, k, astride int, b []float64, ldb int) {
 	}
 }
 
-// axpy adds alpha·x[j] into dst[j] for j < len(dst).
-func axpy(dst []float64, alpha float64, x []float64) {
+// rowSparse sets dst[j] = Σ_e val[e]·b[idx[e]·ldb+j], summed from +0 in e
+// order: one output row of a sparse matrix, given by the values of its
+// nonzero entries and their indices, times b. The assembly takes the widest
+// multiple of 4 columns; narrower rows and the last columns run the Go
+// loop.
+func rowSparse(dst, val []float64, idx []uint32, b []float64, ldb int) {
 	n := len(dst) &^ 3
-	if !useAsm || n == 0 {
-		axpyGo(dst, alpha, x)
+	if !useAsm || n == 0 || len(val) == 0 {
+		rowSparseGo(dst, val, idx, b, ldb)
 		return
 	}
-	if len(x) < len(dst) {
-		panic("nn: axpy operand shorter than destination")
+	var top uint32
+	for _, i := range idx[:len(val)] {
+		top = max(top, i)
 	}
-	axpyAVX2(&dst[0], n, alpha, &x[0])
+	if ldb < 0 || int(top)*ldb+len(dst) > len(b) {
+		panic("nn: sparse row kernel operands out of range")
+	}
+	rowSparseAVX2(&dst[0], n, &val[0], &idx[0], len(val), &b[0], ldb)
 	if n < len(dst) {
-		axpyGo(dst[n:], alpha, x[n:])
+		rowSparseGo(dst[n:], val, idx, b[n:], ldb)
 	}
 }
 

@@ -143,52 +143,125 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpyAVX2(dst *float64, n int, alpha float64, x *float64)
-//
-// dst[j] += alpha·x[j] for j < n, n a positive multiple of 4.
-TEXT ·axpyAVX2(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	MOVQ         n+8(FP), CX
-	VBROADCASTSD alpha+16(FP), Y8
-	MOVQ         x+24(FP), SI
+// Sparse row kernel building blocks. R11 walks val, R12 walks idx, R13
+// counts the entries down, AX points at the current tile of the b row the
+// entry selects, and Y8 holds the broadcast value.
+#define SPARSE_BEGIN MOVQ SI, R11; MOVQ BX, R12; MOVQ R8, R13
 
-loop16:
-	CMPQ    CX, $16
-	JLT     loop4
-	VMOVUPD (SI), Y0
-	VMOVUPD 32(SI), Y1
-	VMOVUPD 64(SI), Y2
-	VMOVUPD 96(SI), Y3
-	VMULPD  Y8, Y0, Y0
-	VMULPD  Y8, Y1, Y1
-	VMULPD  Y8, Y2, Y2
-	VMULPD  Y8, Y3, Y3
-	VADDPD  (DI), Y0, Y0
-	VADDPD  32(DI), Y1, Y1
-	VADDPD  64(DI), Y2, Y2
-	VADDPD  96(DI), Y3, Y3
+#define SPARSE_ENTRY VBROADCASTSD (R11), Y8; MOVLQZX (R12), AX; IMULQ R10, AX; ADDQ DX, AX
+
+#define SPARSE_NEXT(loop) ADDQ $8, R11; ADDQ $4, R12; DECQ R13; JNE loop
+
+// SMADD adds b[idx][off/8 .. off/8+3]·val into acc.
+#define SMADD(off, acc) VMOVUPD off(AX), Y9; VMULPD Y8, Y9, Y9; VADDPD acc, Y9, acc
+
+// func rowSparseAVX2(dst *float64, n int, val *float64, idx *uint32, cnt int, b *float64, ldb int)
+//
+// dst[j] = Σ_{e<cnt} val[e]·b[idx[e]·ldb+j] for j < n, summed from +0 in e
+// order. cnt > 0, and n is a positive multiple of 4. Columns go in tiles
+// as in rowAVX2.
+TEXT ·rowSparseAVX2(SB), NOSPLIT, $0-56
+	MOVQ   dst+0(FP), DI
+	MOVQ   n+8(FP), CX
+	MOVQ   val+16(FP), SI
+	MOVQ   idx+24(FP), BX
+	MOVQ   cnt+32(FP), R8
+	MOVQ   b+40(FP), DX
+	MOVQ   ldb+48(FP), R10
+	SHLQ   $3, R10
+
+stile32:
+	CMPQ   CX, $32
+	JLT    stile16
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	SPARSE_BEGIN
+
+sloop32:
+	SPARSE_ENTRY
+	SMADD(0, Y0)
+	SMADD(32, Y1)
+	SMADD(64, Y2)
+	SMADD(96, Y3)
+	SMADD(128, Y4)
+	SMADD(160, Y5)
+	SMADD(192, Y6)
+	SMADD(224, Y7)
+	SPARSE_NEXT(sloop32)
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
 	VMOVUPD Y3, 96(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $16, CX
-	JMP     loop16
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, DX
+	SUBQ    $32, CX
+	JMP     stile32
 
-loop4:
-	CMPQ    CX, $4
-	JLT     axpydone
-	VMOVUPD (SI), Y0
-	VMULPD  Y8, Y0, Y0
-	VADDPD  (DI), Y0, Y0
+stile16:
+	CMPQ   CX, $16
+	JLT    stile8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	SPARSE_BEGIN
+
+sloop16:
+	SPARSE_ENTRY
+	SMADD(0, Y0)
+	SMADD(32, Y1)
+	SMADD(64, Y2)
+	SMADD(96, Y3)
+	SPARSE_NEXT(sloop16)
 	VMOVUPD Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JMP     loop4
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $16, CX
 
-axpydone:
+stile8:
+	CMPQ   CX, $8
+	JLT    stile4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	SPARSE_BEGIN
+
+sloop8:
+	SPARSE_ENTRY
+	SMADD(0, Y0)
+	SMADD(32, Y1)
+	SPARSE_NEXT(sloop8)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    $64, DI
+	ADDQ    $64, DX
+	SUBQ    $8, CX
+
+stile4:
+	CMPQ   CX, $4
+	JLT    sdone
+	VXORPD Y0, Y0, Y0
+	SPARSE_BEGIN
+
+sloop4:
+	SPARSE_ENTRY
+	SMADD(0, Y0)
+	SPARSE_NEXT(sloop4)
+	VMOVUPD Y0, (DI)
+
+sdone:
 	VZEROUPPER
 	RET
 

@@ -1,69 +1,14 @@
 package nn
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
 
 // The AVX2 kernels must reproduce the Go loops bit for bit. Every check
-// below runs one product twice, once on each path, and compares
-// Float64bits element by element. NaN results only need to be NaN on both
-// sides: when both operands of an operation are NaN, x86 keeps the first
-// one's payload, and the Go compiler orders the operands of the reference
-// loops as it sees fit (matMulBT's dot products differ among themselves),
-// so payloads are not part of the contract.
-
-// kernelValues yields kernel operands from a byte stream: mostly small
-// values, with ±0, NaN, ±Inf, subnormals, large magnitudes and raw bit
-// patterns mixed in. An exhausted stream yields zeros.
-type kernelValues struct{ data []byte }
-
-func (r *kernelValues) byte() byte {
-	if len(r.data) == 0 {
-		return 0
-	}
-	b := r.data[0]
-	r.data = r.data[1:]
-	return b
-}
-
-func (r *kernelValues) next() float64 {
-	switch s := r.byte(); {
-	case s < 64:
-		return 0
-	case s < 72:
-		return math.Copysign(0, -1)
-	case s < 76:
-		return math.NaN()
-	case s < 80:
-		return math.Inf(1)
-	case s < 84:
-		return math.Inf(-1)
-	case s < 88:
-		return 5e-324 * float64(int(r.byte())-128)
-	case s < 92:
-		return math.Ldexp(float64(int(r.byte())-128), 1000)
-	case s < 100:
-		var b [8]byte
-		for i := range b {
-			b[i] = r.byte()
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-	default:
-		return float64(int(r.byte())-128) / float64(int(s)-90)
-	}
-}
-
-func (r *kernelValues) fill(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = r.next()
-	}
-	return v
-}
+// below runs one product twice, once on each path, and compares them with
+// sameBits: Float64bits element by element, NaN payloads aside.
 
 // bothPaths runs f on the Go loops, then on the assembly, restoring the
 // selection afterwards.
@@ -74,22 +19,6 @@ func bothPaths(f func()) {
 	f()
 	useAsm = true
 	f()
-}
-
-func sameBits(t *testing.T, what string, want, got []float64) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: %d outputs vs %d", what, len(want), len(got))
-	}
-	for i, w := range want {
-		g := got[i]
-		if math.IsNaN(w) && math.IsNaN(g) {
-			continue
-		}
-		if math.Float64bits(w) != math.Float64bits(g) {
-			t.Fatalf("%s: element %d: Go %v (%#x), asm %v (%#x)", what, i, w, math.Float64bits(w), g, math.Float64bits(g))
-		}
-	}
 }
 
 // checkKernels compares both paths on every product of the package for an
@@ -146,9 +75,9 @@ func checkKernels(t *testing.T, r *kernelValues, m, k, n, ldb int) {
 	})
 	sameBits(t, "matMulBT "+shape, outs[0], outs[1])
 
-	// colSparse: a stored as one m×k block, times b, and its transpose
+	// sparseBlocks: a stored as one m×k block, times b, and its transpose
 	// times c added into dst.
-	var s colSparse
+	var s sparseBlocks
 	s.reset(m, k, m*k)
 	s.appendBlock(a)
 	path = 0
@@ -157,7 +86,7 @@ func checkKernels(t *testing.T, r *kernelValues, m, k, n, ldb int) {
 		s.mulInto(outs[path], 0, b, n)
 		path++
 	})
-	sameBits(t, "colSparse.mulInto "+shape, outs[0], outs[1])
+	sameBits(t, "sparseBlocks.mulInto "+shape, outs[0], outs[1])
 	dst1 := r.fill(k * n)
 	path = 0
 	bothPaths(func() {
@@ -166,7 +95,7 @@ func checkKernels(t *testing.T, r *kernelValues, m, k, n, ldb int) {
 		s.atAdd(outs[path], 0, c, n, &acc)
 		path++
 	})
-	sameBits(t, "colSparse.atAdd "+shape, outs[0], outs[1])
+	sameBits(t, "sparseBlocks.atAdd "+shape, outs[0], outs[1])
 
 	// Adam: one step on n parameters, with coefficients from r too.
 	p, g, mom, vel := r.fill(n), r.fill(n), r.fill(n), r.fill(n)
@@ -201,8 +130,8 @@ func TestKernelsMatchGoBitForBit(t *testing.T) {
 	}
 }
 
-// FuzzNNKernels drives checkKernels with fuzzer-chosen shapes and operand
-// bytes.
+// FuzzNNKernels drives checkKernels, and checkAgainstReference on both
+// paths, with fuzzer-chosen shapes and operand bytes.
 func FuzzNNKernels(f *testing.F) {
 	if !hasAVX2 {
 		f.Skip("no AVX2 on this CPU")
@@ -212,5 +141,8 @@ func FuzzNNKernels(f *testing.F) {
 	f.Add(uint8(3), uint8(9), uint8(67), uint8(5), []byte{0, 0, 200, 150, 74, 74, 250})
 	f.Fuzz(func(t *testing.T, m, k, n, pad uint8, data []byte) {
 		checkKernels(t, &kernelValues{data}, 1+int(m%4), int(k%17), int(n%70), int(n%70)+int(pad%4))
+		bothPaths(func() {
+			checkAgainstReference(t, &kernelValues{data}, 1+int(m%4), int(k), 1+int(n%40), 1+int(pad%3), 1+int(n%40)+int(pad%4))
+		})
 	})
 }

@@ -10,8 +10,10 @@ func rowProduct(dst, a []float64, k, astride int, b []float64, ldb int) {
 	rowGo(dst, a, k, astride, b, ldb)
 }
 
-// axpy is axpyGo.
-func axpy(dst []float64, alpha float64, x []float64) { axpyGo(dst, alpha, x) }
+// rowSparse is rowSparseGo.
+func rowSparse(dst, val []float64, idx []uint32, b []float64, ldb int) {
+	rowSparseGo(dst, val, idx, b, ldb)
+}
 
 // adamUpdate is adamGo.
 func adamUpdate(p, g, m, v []float64, c *adamCoef) { adamGo(p, g, m, v, c) }

@@ -51,13 +51,13 @@ func (t *testAC) LoadBatch(obs []Observation) {
 
 func (t *testAC) ForwardPolicyBatch() *nn.Matrix { return t.actor.Forward(t.batch) }
 
-func (t *testAC) BackwardPolicyBatch(dLogits *nn.Matrix) { t.actor.Backward(dLogits) }
+func (t *testAC) BackwardPolicyBatch(dLogits *nn.Matrix) { t.actor.Backward(dLogits, 0) }
 
 func (t *testAC) PolicyParams() []nn.Param { return t.actor.Params() }
 
 func (t *testAC) ForwardValueBatch() *nn.Matrix { return t.critic.Forward(t.batch) }
 
-func (t *testAC) BackwardValueBatch(dV *nn.Matrix) { t.critic.Backward(dV) }
+func (t *testAC) BackwardValueBatch(dV *nn.Matrix) { t.critic.Backward(dV, 0) }
 
 func (t *testAC) ValueParams() []nn.Param { return t.critic.Params() }
 
