@@ -55,7 +55,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		hbInterval   = fs.Duration("heartbeat-interval", time.Second, "pace replicas are told to heartbeat at")
 		suspectAfter = fs.Duration("suspect-after", 0, "heartbeat silence before a replica turns suspect (0 = 3x heartbeat)")
 		deadAfter    = fs.Duration("dead-after", 0, "heartbeat silence before a replica is declared dead and its jobs fail over (0 = 8x heartbeat)")
-		callTimeout  = fs.Duration("call-timeout", 10*time.Second, "deadline per coordinator-to-replica HTTP attempt; hung replicas fail over after it")
+		callTimeout  = fs.Duration("call-timeout", 10*time.Second, "deadline per coordinator-to-replica call, retries and backoff included; hung replicas fail over after it")
 		vnodes       = fs.Int("virtual-nodes", 0, "consistent-hash points per replica (0 = 128)")
 		eventsPath   = fs.String("events", "", "append JSON-lines fleet lifecycle events to this file")
 		httpTimeout  = fs.Duration("http-timeout", time.Minute, "HTTP read timeout per client request (0 = none)")

@@ -72,7 +72,7 @@ func startReplica(t *testing.T, id, coordinator string) {
 	srv := httptest.NewServer(service.NewMux(m, nil))
 	agentCtx, cancel := context.WithCancel(context.Background())
 	agentDone := make(chan struct{})
-	agent := &fleet.Agent{Coordinator: coordinator, ID: id, AdvertiseURL: srv.URL, Jitter: 0.1}
+	agent := &fleet.Agent{Coordinator: coordinator, ID: id, AdvertiseURL: srv.URL}
 	go func() {
 		defer close(agentDone)
 		agent.Run(agentCtx)

@@ -65,7 +65,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fleetURL     = fs.String("fleet", "", "register with the nptsn-fleet coordinator at this base URL and heartbeat until shutdown (empty = standalone)")
 		fleetID      = fs.String("fleet-id", "", "stable replica identity on the fleet ring (default: the advertised address); reuse it across restarts to keep this replica's keys")
 		fleetAdv     = fs.String("fleet-advertise", "", "base URL the coordinator reaches this replica at (default: http://<bound address>)")
-		fleetBeat    = fs.Duration("fleet-heartbeat", 0, "heartbeat pace before the coordinator's registration answer overrides it (0 = 1s)")
 		zooDir       = fs.String("zoo", "", "policy zoo directory (from nptsn-pretrain); arms the inference-only fast path — the manifest is re-read on SIGHUP, so replicas can share one zoo")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -189,7 +188,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Coordinator:  *fleetURL,
 			ID:           id,
 			AdvertiseURL: advertise,
-			Interval:     *fleetBeat,
 			Logf: func(format string, args ...interface{}) {
 				fmt.Fprintf(out, format+"\n", args...)
 			},

@@ -208,14 +208,7 @@ func (n *NeuroPlan) Plan(prob *core.Problem) (*Result, *core.Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ppo, err := rl.NewPPO(rl.PPOConfig{
-		ClipRatio:    n.cfg.ClipRatio,
-		ActorLR:      n.cfg.ActorLR,
-		CriticLR:     n.cfg.CriticLR,
-		TrainPiIters: n.cfg.TrainPiIters,
-		TrainVIters:  n.cfg.TrainVIters,
-		TargetKL:     n.cfg.TargetKL,
-	})
+	ppo, err := rl.NewPPO(n.cfg.PPOConfig())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -132,9 +132,7 @@ type Config struct {
 	// stalls training, and it must not call back into the planner. The
 	// planner holds no locks during the call — the exploration workers and
 	// the policy batcher are parked between epochs — so a callback may
-	// block without deadlocking the run; callers that forward it to
-	// external observers must still keep their own locks out of the call
-	// (see the service's heartbeat contract).
+	// block without deadlocking the run.
 	Progress func(EpochStats)
 	// ExploreHook, when non-nil, runs on each exploration worker's
 	// goroutine at the start of every exploration round, with the round's
@@ -241,18 +239,11 @@ func (c Config) Validate() error {
 	if c.Resume != nil && c.InitialWeights != nil {
 		return fmt.Errorf("config: Resume and InitialWeights are mutually exclusive")
 	}
-	return rl.PPOConfig{
-		ClipRatio:    c.ClipRatio,
-		ActorLR:      c.ActorLR,
-		CriticLR:     c.CriticLR,
-		TrainPiIters: c.TrainPiIters,
-		TrainVIters:  c.TrainVIters,
-		TargetKL:     c.TargetKL,
-	}.Validate()
+	return c.PPOConfig().Validate()
 }
 
-// ppoConfig converts to the rl layer's config.
-func (c Config) ppoConfig() rl.PPOConfig {
+// PPOConfig is the rl layer's update config for these hyperparameters.
+func (c Config) PPOConfig() rl.PPOConfig {
 	return rl.PPOConfig{
 		ClipRatio:    c.ClipRatio,
 		ActorLR:      c.ActorLR,

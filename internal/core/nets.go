@@ -9,9 +9,9 @@ import (
 )
 
 // graphTrunk abstracts the shared graph encoder: the GCN of Fig. 3 or the
-// GAT alternative discussed (and rejected for scalability) in §IV-C.
-// Forward evaluates one observation (exploration); the batch methods serve
-// the PPO update.
+// GAT alternative discussed (and rejected for scalability) in §IV-C. Both
+// take an observation's Ŝ as op. Forward evaluates one observation
+// (exploration); the batch methods serve the PPO update.
 type graphTrunk interface {
 	Forward(op, h *nn.Matrix) *nn.Matrix
 	SetBatch(ops, feats []*nn.Matrix)
@@ -39,7 +39,6 @@ var (
 // once (LoadBatch and the Batch forwards/backwards).
 type Nets struct {
 	gcn    graphTrunk
-	useGAT bool
 	actor  *nn.MLP
 	critic *nn.MLP
 
@@ -92,7 +91,6 @@ func NewNets(rng *rand.Rand, enc *Encoder, actionSpace int, cfg Config) (*Nets, 
 	}
 	nt := &Nets{
 		gcn:         trunk,
-		useGAT:      cfg.UseGAT,
 		actor:       nn.NewMLP(rng, mlpIn, cfg.MLPHidden, actionSpace, nn.Tanh),
 		critic:      nn.NewMLP(rng, mlpIn, cfg.MLPHidden, 1, nn.Tanh),
 		numVertices: n,
@@ -104,8 +102,8 @@ func NewNets(rng *rand.Rand, enc *Encoder, actionSpace int, cfg Config) (*Nets, 
 		batchX:      new(nn.Matrix),
 	}
 	// Parameter lists are fixed for the network's lifetime; caching them
-	// keeps the per-iteration ZeroGrads/ClipGrads/Step calls allocation-
-	// free. Exact capacities so appends by callers reallocate.
+	// keeps the per-iteration ZeroGrads/Step calls allocation-free. Exact
+	// capacities so appends by callers reallocate.
 	pp := append(trunk.Params(), nt.actor.Params()...)
 	vp := append(trunk.Params(), nt.critic.Params()...)
 	ap := append(append(trunk.Params(), nt.actor.Params()...), nt.critic.Params()...)
@@ -113,14 +111,6 @@ func NewNets(rng *rand.Rand, enc *Encoder, actionSpace int, cfg Config) (*Nets, 
 	nt.valueParams = vp[:len(vp):len(vp)]
 	nt.allParams = ap[:len(ap):len(ap)]
 	return nt, nil
-}
-
-// operator selects the trunk's propagation input for an observation.
-func (nt *Nets) operator(o *Obs) *nn.Matrix {
-	if nt.useGAT {
-		return o.Mask
-	}
-	return o.SHat
 }
 
 // asObs unwraps an rl observation.
@@ -134,7 +124,7 @@ func asObs(obs rl.Observation) *Obs {
 
 // embed runs the graph trunk and assembles the MLP input into xRow.
 func (nt *Nets) embed(obs *Obs) *nn.Matrix {
-	emb := nt.gcn.Forward(nt.operator(obs), obs.Feat)
+	emb := nt.gcn.Forward(obs.SHat, obs.Feat)
 	embLen := nt.numVertices * nt.embedCols
 	copy(nt.xRow.Data[:embLen], emb.Data)
 	copy(nt.xRow.Data[embLen:], obs.Params.Data)
@@ -169,7 +159,7 @@ func (nt *Nets) LoadBatch(obs []rl.Observation) {
 	nt.updX.EnsureShape(len(obs), mlpIn)
 	for i, ob := range obs {
 		o := asObs(ob)
-		nt.ops = append(nt.ops, nt.operator(o))
+		nt.ops = append(nt.ops, o.SHat)
 		nt.feats = append(nt.feats, o.Feat)
 		copy(nt.updX.Data[i*mlpIn+embLen:(i+1)*mlpIn], o.Params.Data)
 	}
@@ -254,7 +244,7 @@ func (nt *Nets) ForwardPolicyValueBatch(obs []*Obs, logits [][]float64, values [
 	mlpIn := embLen + len(obs[0].Params.Data)
 	nt.batchX.EnsureShape(b, mlpIn)
 	for i, o := range obs {
-		emb := nt.gcn.Forward(nt.operator(o), o.Feat)
+		emb := nt.gcn.Forward(o.SHat, o.Feat)
 		row := nt.batchX.Data[i*mlpIn : (i+1)*mlpIn]
 		copy(row[:embLen], emb.Data)
 		copy(row[embLen:], o.Params.Data)

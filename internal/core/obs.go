@@ -10,10 +10,9 @@ import (
 // vector (flow periods, frame sizes, base period).
 type Obs struct {
 	// SHat is the normalized propagation operator Ŝ of the current
-	// topology (|Vc|×|Vc|), consumed by the GCN trunk.
+	// topology (|Vc|×|Vc|), the graph trunk's input: the GCN propagates
+	// over it and the GAT attends over its nonzero pattern, A + I.
 	SHat *nn.Matrix
-	// Mask is the self-looped 0/1 adjacency, consumed by the GAT trunk.
-	Mask *nn.Matrix
 	// Feat is the node feature matrix, |Vc| × (1 + |Vc| + |Ves| + K).
 	Feat *nn.Matrix
 	// Params is the 1×P flow/network parameter row vector.
@@ -171,7 +170,6 @@ func (e *Encoder) Encode(state *TSSDN, actions *ActionSet) *Obs {
 
 	return &Obs{
 		SHat:   nn.NormalizeAdjacency(adj),
-		Mask:   nn.SelfLoopMask(adj),
 		Feat:   feat,
 		Params: e.params,
 	}

@@ -112,16 +112,8 @@ type Planner struct {
 	prob *Problem
 	cfg  Config
 
-	// hooks are test-only injection points (fault injection, epoch fences).
-	hooks plannerHooks
-}
-
-// plannerHooks lets resilience tests inject faults deterministically.
-type plannerHooks struct {
-	// explorePanic runs at the start of each worker's exploration; a test
-	// hook may panic to simulate a crashing worker.
-	explorePanic func(epoch, worker int)
-	// afterEpoch runs after each completed epoch (e.g. to cancel a ctx).
+	// afterEpoch is a test-only fence that runs after each completed epoch
+	// (e.g. to cancel a ctx).
 	afterEpoch func(epoch int)
 }
 
@@ -303,7 +295,7 @@ func (p *Planner) PlanContext(ctx context.Context) (*Report, error) {
 			return nil, fmt.Errorf("planner: warm start: %w", err)
 		}
 	}
-	ppo, err := rl.NewPPO(p.cfg.ppoConfig())
+	ppo, err := rl.NewPPO(p.cfg.PPOConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -581,8 +573,8 @@ func (p *Planner) PlanContext(ctx context.Context) (*Report, error) {
 				lastWritten = epoch
 			}
 		}
-		if p.hooks.afterEpoch != nil {
-			p.hooks.afterEpoch(epoch)
+		if p.afterEpoch != nil {
+			p.afterEpoch(epoch)
 		}
 	}
 
@@ -626,9 +618,6 @@ func (p *Planner) runWorker(ctx context.Context, wg *sync.WaitGroup, w *worker, 
 			w.panicMsg = fmt.Sprintf("worker %d: %v", idx, r)
 		}
 	}()
-	if p.hooks.explorePanic != nil {
-		p.hooks.explorePanic(epoch, idx)
-	}
 	if p.cfg.ExploreHook != nil {
 		p.cfg.ExploreHook(ctx, epoch, idx)
 		if ctx.Err() != nil {

@@ -156,10 +156,7 @@ func tableIIUpdate(tb testing.TB) (*core.Nets, *rl.Buffer, *rl.PPO) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = 3
 	nets, buf := orionUpdateFixture(tb, cfg, 64)
-	ppo, err := rl.NewPPO(rl.PPOConfig{
-		ClipRatio: cfg.ClipRatio, ActorLR: cfg.ActorLR, CriticLR: cfg.CriticLR,
-		TrainPiIters: cfg.TrainPiIters, TrainVIters: cfg.TrainVIters, TargetKL: cfg.TargetKL,
-	})
+	ppo, err := rl.NewPPO(cfg.PPOConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -190,10 +187,8 @@ func TestPPOUpdateAllocFree(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = 3
 	nets, buf := orionUpdateFixture(t, cfg, 64)
-	ppo, err := rl.NewPPO(rl.PPOConfig{
-		ClipRatio: cfg.ClipRatio, ActorLR: cfg.ActorLR, CriticLR: cfg.CriticLR,
-		TrainPiIters: 3, TrainVIters: 3, TargetKL: cfg.TargetKL,
-	})
+	cfg.TrainPiIters, cfg.TrainVIters = 3, 3
+	ppo, err := rl.NewPPO(cfg.PPOConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

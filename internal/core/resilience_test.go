@@ -155,14 +155,14 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := resilienceConfig()
 	cfg.MaxEpoch = 3
-	pl, err := NewPlanner(prob, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.hooks.explorePanic = func(epoch, worker int) {
+	cfg.ExploreHook = func(_ context.Context, epoch, worker int) {
 		if epoch == 1 && worker == 1 {
 			panic("injected fault")
 		}
+	}
+	pl, err := NewPlanner(prob, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rep, err := pl.Plan()
 	if err != nil {
@@ -193,11 +193,11 @@ func TestWorkerPanicIsolation(t *testing.T) {
 func TestAllWorkersPanicFailsRun(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := resilienceConfig()
+	cfg.ExploreHook = func(_ context.Context, _, worker int) { panic(fmt.Sprintf("fault %d", worker)) }
 	pl, err := NewPlanner(prob, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.hooks.explorePanic = func(epoch, worker int) { panic(fmt.Sprintf("fault %d", worker)) }
 	if _, err := pl.Plan(); err == nil || !strings.Contains(err.Error(), "all 2 workers panicked") {
 		t.Fatalf("all-panicked run did not fail usefully: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestPlanCancellationCheckpointsAndReturns(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	pl.hooks.afterEpoch = func(epoch int) {
+	pl.afterEpoch = func(epoch int) {
 		if epoch == 2 {
 			cancel()
 		}

@@ -29,13 +29,6 @@ type Agent struct {
 	// HTTP is the client for coordinator calls (http.DefaultClient when
 	// nil).
 	HTTP *http.Client
-	// Interval is the heartbeat pace before the coordinator's answer
-	// overrides it (default 1s).
-	Interval time.Duration
-	// Jitter spreads each beat by ±Jitter fraction of the interval
-	// (default 0.2), so a fleet started in lockstep does not thunder at
-	// the coordinator forever.
-	Jitter float64
 	// Logf receives agent lifecycle lines (silent when nil).
 	Logf func(format string, args ...interface{})
 
@@ -43,6 +36,15 @@ type Agent struct {
 	rng  *rand.Rand
 	pace time.Duration
 }
+
+const (
+	// fallbackPace is the heartbeat pace when the coordinator's
+	// registration answer carries none.
+	fallbackPace = time.Second
+	// beatJitter spreads each beat by ±20% of the pace, so a fleet started
+	// in lockstep does not thunder at the coordinator forever.
+	beatJitter = 0.2
+)
 
 func (a *Agent) logf(format string, args ...interface{}) {
 	if a.Logf != nil {
@@ -143,7 +145,7 @@ func (a *Agent) register(ctx context.Context) (time.Duration, error) {
 	}
 	pace := time.Duration(reg.HeartbeatIntervalSec * float64(time.Second))
 	if pace <= 0 {
-		pace = a.baseInterval()
+		pace = fallbackPace
 	}
 	return pace, nil
 }
@@ -202,36 +204,18 @@ func (a *Agent) deregister() {
 	a.logf("fleet agent: deregistered %s", a.ID)
 }
 
-func (a *Agent) baseInterval() time.Duration {
-	if a.Interval > 0 {
-		return a.Interval
-	}
-	return time.Second
-}
-
 // jittered is the next beat's delay: the coordinator-directed pace spread
-// by ±Jitter.
+// by ±beatJitter. Run registers, which sets the pace, before the first beat.
 func (a *Agent) jittered() time.Duration {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	pace := a.pace
-	if pace <= 0 {
-		pace = a.baseInterval()
-	}
-	jitter := a.Jitter
-	if jitter <= 0 {
-		jitter = 0.2
-	}
-	if jitter > 0.9 {
-		jitter = 0.9
-	}
 	if a.rng == nil {
 		// Seed from the ID so two replicas never share a jitter stream, and
 		// the time so two runs of one replica don't either.
 		a.rng = rand.New(rand.NewSource(int64(ringHash(a.ID)) ^ time.Now().UnixNano()))
 	}
-	spread := 1 + jitter*(2*a.rng.Float64()-1)
-	return time.Duration(float64(pace) * spread)
+	spread := 1 + beatJitter*(2*a.rng.Float64()-1)
+	return time.Duration(float64(a.pace) * spread)
 }
 
 // sleep waits d or until ctx dies; false means ctx died.

@@ -252,12 +252,11 @@ func (c *Coordinator) Close() {
 
 func (c *Coordinator) newClient(url string) *service.Client {
 	return &service.Client{
-		BaseURL:       url,
-		HTTP:          c.opt.HTTP,
-		Retries:       c.opt.ClientRetries,
-		Backoff:       c.opt.ClientBackoff,
-		MaxBackoff:    c.opt.CallTimeout,
-		MaxRetryAfter: c.opt.CallTimeout,
+		BaseURL:    url,
+		HTTP:       c.opt.HTTP,
+		Retries:    c.opt.ClientRetries,
+		Backoff:    c.opt.ClientBackoff,
+		MaxBackoff: c.opt.CallTimeout,
 	}
 }
 
@@ -412,63 +411,50 @@ func (c *Coordinator) Submit(ctx context.Context, req service.Request) (JobStatu
 		}
 	}
 
-	order, home := c.route(routeFp)
-	if len(order) == 0 {
-		return JobStatus{}, ErrNoReplicas
+	rep, home, st, adopted, err := c.placeOnRoute(ctx, routeFp, dedupFp, "", req)
+	if err != nil {
+		return JobStatus{}, err
 	}
-	var lastErr error
-	for _, rep := range order {
-		st, adopted, err := c.place(ctx, rep, dedupFp, req)
-		if err != nil {
-			lastErr = err
-			continue
+	j := &fleetJob{
+		id: newFleetJobID(),
+		// The replica reports the derived fingerprint it assigned; for
+		// base-by-reference deltas this is the first time it is known.
+		fingerprint: st.Fingerprint,
+		routeFp:     routeFp,
+		req:         req,
+		submitted:   time.Now().UTC(),
+		replicaID:   rep.id,
+		remoteID:    st.ID,
+		last:        st,
+	}
+	c.mu.Lock()
+	c.jobs[j.id] = j
+	c.order = append(c.order, j.id)
+	c.byFp[j.fingerprint] = j.id
+	c.mu.Unlock()
+	c.met.submitted.Inc()
+	if req.IsDelta() {
+		c.met.deltas.Inc()
+	}
+	if adopted {
+		c.met.adopted.Inc()
+	}
+	if rep.id != home.id {
+		// The home shard did not take the job: count why.
+		if home.state == ReplicaSuspect {
+			c.met.hedged.Inc()
+		} else {
+			c.met.fallback.Inc()
 		}
-		j := &fleetJob{
-			id: newFleetJobID(),
-			// The replica reports the derived fingerprint it assigned; for
-			// base-by-reference deltas this is the first time it is known.
-			fingerprint: st.Fingerprint,
-			routeFp:     routeFp,
-			req:         req,
-			submitted:   time.Now().UTC(),
-			replicaID:   rep.id,
-			remoteID:    st.ID,
-			last:        st,
-		}
-		c.mu.Lock()
-		c.jobs[j.id] = j
-		c.order = append(c.order, j.id)
-		c.byFp[j.fingerprint] = j.id
-		c.mu.Unlock()
-		c.met.submitted.Inc()
 		if req.IsDelta() {
-			c.met.deltas.Inc()
+			// The delta landed off the base's home shard: it planned cold
+			// (the fallback replica has no warm cache), but it planned.
+			c.met.deltaFall.Inc()
+			c.emit(obsv.Event{Type: EventDeltaFallback, Msg: j.id, V: map[string]float64{
+				"home_suspect": boolTo01(home.state == ReplicaSuspect)}})
 		}
-		if adopted {
-			c.met.adopted.Inc()
-		}
-		if rep.id != home.id {
-			// The home shard did not take the job: count why.
-			if home.state == ReplicaSuspect {
-				c.met.hedged.Inc()
-			} else {
-				c.met.fallback.Inc()
-			}
-			if req.IsDelta() {
-				// The delta landed off the base's home shard: it planned
-				// cold (the fallback replica has no warm cache), but it
-				// planned.
-				c.met.deltaFall.Inc()
-				c.emit(obsv.Event{Type: EventDeltaFallback, Msg: j.id, V: map[string]float64{
-					"home_suspect": boolTo01(home.state == ReplicaSuspect)}})
-			}
-		}
-		return j.view(), nil
 	}
-	if lastErr == nil {
-		lastErr = ErrNoReplicas
-	}
-	return JobStatus{}, fmt.Errorf("fleet: no replica took the job: %w", lastErr)
+	return j.view(), nil
 }
 
 // materialize resolves a delta request into the form the fleet can place
@@ -585,6 +571,31 @@ func (c *Coordinator) route(fp string) ([]*replica, homeInfo) {
 		}
 	}
 	return append(alive, suspect...), home
+}
+
+// placeOnRoute places req on the first replica along routeFp's route that
+// takes it, skipping the replica skip. It returns that replica, the route's
+// true home shard, the placed status and whether the replica adopted work
+// it already owned. With nothing routable the error is ErrNoReplicas;
+// otherwise it wraps the last placement failure.
+func (c *Coordinator) placeOnRoute(ctx context.Context, routeFp, fp, skip string, req service.Request) (*replica, homeInfo, service.Status, bool, error) {
+	order, home := c.route(routeFp)
+	var lastErr error
+	for _, rep := range order {
+		if rep.id == skip {
+			continue
+		}
+		st, adopted, err := c.place(ctx, rep, fp, req)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		return rep, home, st, adopted, nil
+	}
+	if lastErr == nil {
+		return nil, home, service.Status{}, false, ErrNoReplicas
+	}
+	return nil, home, service.Status{}, false, fmt.Errorf("fleet: no replica took the job: %w", lastErr)
 }
 
 // place puts one fingerprint's work on one replica, idempotently: the
@@ -942,46 +953,35 @@ func (c *Coordinator) handoff(ctx context.Context, j *fleetJob, from string) {
 		j.mu.Unlock()
 		return
 	}
-	fp, req := j.fingerprint, j.req
-	routeFp := j.routeFp
-	if routeFp == "" {
-		routeFp = fp
-	}
+	fp, routeFp, req := j.fingerprint, j.routeFp, j.req
 	j.mu.Unlock()
 
-	order, _ := c.route(routeFp)
-	for _, rep := range order {
-		if rep.id == from {
-			continue
-		}
-		st, adopted, err := c.place(ctx, rep, fp, req)
-		if err != nil {
-			continue
-		}
-		j.mu.Lock()
-		if j.last.State.Terminal() || j.replicaID != from {
-			// The job finished on its old replica (or moved) while this
-			// placement was in flight. Repointing it now would turn a
-			// terminal job live again, and no refresh revisits terminal
-			// jobs; the placed copy is duplicate work, as under a partition.
-			j.mu.Unlock()
-			return
-		}
-		j.replicaID, j.remoteID, j.last = rep.id, st.ID, st
-		j.handoffs++
-		n := j.handoffs
-		j.mu.Unlock()
-		c.mu.Lock()
-		c.handoffs++
-		c.mu.Unlock()
-		c.met.handoffs.Inc()
-		if adopted {
-			c.met.adopted.Inc()
-		}
-		c.emit(obsv.Event{Type: EventJobHandoff, Msg: fmt.Sprintf("%s %s->%s", j.id, from, rep.id),
-			V: map[string]float64{"handoffs": float64(n), "adopted": boolTo01(adopted)}})
+	rep, _, st, adopted, err := c.placeOnRoute(ctx, routeFp, fp, from, req)
+	if err != nil {
 		return
 	}
+	j.mu.Lock()
+	if j.last.State.Terminal() || j.replicaID != from {
+		// The job finished on its old replica (or moved) while this
+		// placement was in flight. Repointing it now would turn a terminal
+		// job live again, and no refresh revisits terminal jobs; the placed
+		// copy is duplicate work, as under a partition.
+		j.mu.Unlock()
+		return
+	}
+	j.replicaID, j.remoteID, j.last = rep.id, st.ID, st
+	j.handoffs++
+	n := j.handoffs
+	j.mu.Unlock()
+	c.mu.Lock()
+	c.handoffs++
+	c.mu.Unlock()
+	c.met.handoffs.Inc()
+	if adopted {
+		c.met.adopted.Inc()
+	}
+	c.emit(obsv.Event{Type: EventJobHandoff, Msg: fmt.Sprintf("%s %s->%s", j.id, from, rep.id),
+		V: map[string]float64{"handoffs": float64(n), "adopted": boolTo01(adopted)}})
 }
 
 // emit sends one lifecycle event; sink errors are counted, not fatal.

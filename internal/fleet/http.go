@@ -10,9 +10,6 @@ import (
 	"repro/internal/service"
 )
 
-// maxRequestBody mirrors the replica API's request-body bound.
-const maxRequestBody = 16 << 20
-
 // NewMux builds the coordinator's HTTP API. The /v1/jobs surface is the
 // same contract a single nptsn-serve replica exposes — clients point at
 // the coordinator instead of a replica and nothing else changes — plus
@@ -75,15 +72,10 @@ func writeFleetErr(w http.ResponseWriter, err error) {
 }
 
 func (a *apiServer) submit(w http.ResponseWriter, r *http.Request) {
-	var req service.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("request body: %v", err))
+	req, err := service.ReadRequest(w, r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if r.URL.Query().Get("certify") == "1" {
-		req.Certify = true
 	}
 	st, err := a.c.Submit(r.Context(), req)
 	switch {

@@ -10,28 +10,12 @@ import (
 // used by Veličković et al.).
 const gatLeakySlope = 0.2
 
-// SelfLoopMask returns the 0/1 attention mask A + I: each node attends to
-// its neighbors and itself, the masked self-attention of GAT.
-func SelfLoopMask(adj *Matrix) *Matrix {
-	if adj.Rows != adj.Cols {
-		panic(fmt.Sprintf("nn: adjacency must be square, got %dx%d", adj.Rows, adj.Cols))
-	}
-	m := NewMatrix(adj.Rows, adj.Cols)
-	for i := 0; i < adj.Rows; i++ {
-		for j := 0; j < adj.Cols; j++ {
-			if adj.At(i, j) != 0 {
-				m.Set(i, j, 1)
-			}
-		}
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // GATLayer is a single-head Graph Attention layer (Veličković et al.): the
 // §IV-C alternative to GCN. Attention coefficients are computed per edge
 // with a LeakyReLU-activated additive score and normalized by a masked
-// softmax over each node's neighborhood.
+// softmax over each node's neighborhood: the nonzero pattern of the
+// operator it is given, whose values it never reads. Ŝ is nonzero exactly
+// where A + I is, so on Ŝ each node attends to its neighbors and itself.
 //
 // Like GCNLayer, all intermediates live in layer-owned scratch buffers
 // resized in place; returned matrices are valid until the next call.
@@ -47,13 +31,13 @@ type GATLayer struct {
 	gradA1 *Matrix
 	gradA2 *Matrix
 
-	// caches (lastMask/lastH are caller-owned inputs; the rest is scratch)
-	lastMask *Matrix
-	lastH    *Matrix
-	z        *Matrix
-	raw      *Matrix // unactivated attention scores (only valid on mask)
-	alpha    *Matrix
-	y        *Matrix // the aggregate α Z, then σ of it in place
+	// caches (lastOp/lastH are caller-owned inputs; the rest is scratch)
+	lastOp *Matrix
+	lastH  *Matrix
+	z      *Matrix
+	raw    *Matrix // unactivated attention scores (only valid where op is nonzero)
+	alpha  *Matrix
+	y      *Matrix // the aggregate α Z, then σ of it in place
 
 	src, dst []float64 // per-node attention score scratch
 
@@ -82,17 +66,9 @@ func NewGATLayer(rng *rand.Rand, in, out int, act Activation) *GATLayer {
 	return l
 }
 
-// ensureVec grows a float64 scratch slice to length n, reusing capacity.
-func ensureVec(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// Forward computes the attention aggregation over the self-looped mask. The
-// returned matrix is layer-owned scratch.
-func (l *GATLayer) Forward(mask, h *Matrix) *Matrix {
+// Forward computes the attention aggregation over the nonzero pattern of
+// op. The returned matrix is layer-owned scratch.
+func (l *GATLayer) Forward(op, h *Matrix) *Matrix {
 	if h.Cols != l.In {
 		panic(fmt.Sprintf("nn: gat input features %d, want %d", h.Cols, l.In))
 	}
@@ -101,8 +77,8 @@ func (l *GATLayer) Forward(mask, h *Matrix) *Matrix {
 	z := l.z
 
 	// Per-node source/neighbor scores.
-	l.src = ensureVec(l.src, n)
-	l.dst = ensureVec(l.dst, n)
+	l.src = ensureLen(l.src, n)
+	l.dst = ensureLen(l.dst, n)
 	for i := 0; i < n; i++ {
 		var s1, s2 float64
 		for c := 0; c < l.Out; c++ {
@@ -121,7 +97,7 @@ func (l *GATLayer) Forward(mask, h *Matrix) *Matrix {
 	for i := 0; i < n; i++ {
 		maxPre := math.Inf(-1)
 		for j := 0; j < n; j++ {
-			if mask.At(i, j) == 0 {
+			if op.At(i, j) == 0 {
 				continue
 			}
 			r := l.src[i] + l.dst[j]
@@ -133,7 +109,7 @@ func (l *GATLayer) Forward(mask, h *Matrix) *Matrix {
 		}
 		var sum float64
 		for j := 0; j < n; j++ {
-			if mask.At(i, j) == 0 {
+			if op.At(i, j) == 0 {
 				continue
 			}
 			e := math.Exp(leaky(raw.At(i, j)) - maxPre)
@@ -141,7 +117,7 @@ func (l *GATLayer) Forward(mask, h *Matrix) *Matrix {
 			sum += e
 		}
 		for j := 0; j < n; j++ {
-			if mask.At(i, j) == 0 {
+			if op.At(i, j) == 0 {
 				continue
 			}
 			alpha.Set(i, j, alpha.At(i, j)/sum)
@@ -149,7 +125,7 @@ func (l *GATLayer) Forward(mask, h *Matrix) *Matrix {
 	}
 
 	MatMulInto(l.y, alpha, z)
-	l.lastMask, l.lastH = mask, h
+	l.lastOp, l.lastH = op, h
 	l.Act.applyInto(l.y, l.y)
 	return l.y
 }
@@ -184,9 +160,9 @@ func (l *GATLayer) Backward(dY *Matrix) *Matrix {
 	dZ := l.dZ
 
 	// dα_ij = dS_i · Z_j for edges; then masked softmax backward per row.
-	l.dSrc = ensureVec(l.dSrc, n)
-	l.dDst = ensureVec(l.dDst, n)
-	l.dAlphaRow = ensureVec(l.dAlphaRow, n)
+	l.dSrc = ensureLen(l.dSrc, n)
+	l.dDst = ensureLen(l.dDst, n)
+	l.dAlphaRow = ensureLen(l.dAlphaRow, n)
 	dSrc, dDst := l.dSrc, l.dDst
 	for i := range dSrc {
 		dSrc[i] = 0
@@ -200,7 +176,7 @@ func (l *GATLayer) Backward(dY *Matrix) *Matrix {
 			dAlphaRow[j] = 0
 		}
 		for j := 0; j < n; j++ {
-			if l.lastMask.At(i, j) == 0 {
+			if l.lastOp.At(i, j) == 0 {
 				continue
 			}
 			var dot float64
@@ -211,7 +187,7 @@ func (l *GATLayer) Backward(dY *Matrix) *Matrix {
 			rowDot += l.alpha.At(i, j) * dot
 		}
 		for j := 0; j < n; j++ {
-			if l.lastMask.At(i, j) == 0 {
+			if l.lastOp.At(i, j) == 0 {
 				continue
 			}
 			dPre := l.alpha.At(i, j) * (dAlphaRow[j] - rowDot)
@@ -243,15 +219,15 @@ func (l *GATLayer) Params() []Param {
 	}
 }
 
-// GAT is a stack of GAT layers, interface-compatible with GCN: Forward
-// takes the self-looped attention mask instead of the normalized
-// propagation operator.
+// GAT is a stack of GAT layers, interface-compatible with GCN: it takes the
+// same normalized propagation operator and attends over its nonzero
+// pattern.
 type GAT struct {
 	layers []*GATLayer
 
-	masks, feats []*Matrix // batch inputs (caller-owned, from SetBatch)
-	out          Matrix    // batch embeddings, one block per observation
-	block        Matrix    // view of one observation's block of dY
+	ops, feats []*Matrix // batch inputs (caller-owned, from SetBatch)
+	out        Matrix    // batch embeddings, one block per observation
+	block      Matrix    // view of one observation's block of dY
 }
 
 // NewGAT builds numLayers GAT layers mapping inFeatures to embedDim with
@@ -284,10 +260,10 @@ func (g *GAT) OutFeatures(inFeatures int) int {
 	return g.layers[len(g.layers)-1].Out
 }
 
-// Forward runs all layers over the shared attention mask.
-func (g *GAT) Forward(mask, h *Matrix) *Matrix {
+// Forward runs all layers over the shared operator.
+func (g *GAT) Forward(op, h *Matrix) *Matrix {
 	for _, l := range g.layers {
-		h = l.Forward(mask, h)
+		h = l.Forward(op, h)
 	}
 	return h
 }
@@ -301,14 +277,14 @@ func (g *GAT) Backward(dY *Matrix) *Matrix {
 }
 
 // SetBatch fixes the observations ForwardBatch and BackwardBatch evaluate:
-// masks[b] and feats[b] are observation b's attention mask and node
+// ops[b] and feats[b] are observation b's propagation operator and node
 // features. Both slices are retained until the next SetBatch; an empty
 // batch releases them.
-func (g *GAT) SetBatch(masks, feats []*Matrix) {
-	if len(masks) != len(feats) {
-		panic(fmt.Sprintf("nn: gat batch of %d masks and %d feature blocks", len(masks), len(feats)))
+func (g *GAT) SetBatch(ops, feats []*Matrix) {
+	if len(ops) != len(feats) {
+		panic(fmt.Sprintf("nn: gat batch of %d operators and %d feature blocks", len(ops), len(feats)))
 	}
-	g.masks, g.feats = masks, feats
+	g.ops, g.feats = ops, feats
 }
 
 // ForwardBatch evaluates the batch fixed by SetBatch, one observation at a
@@ -319,7 +295,7 @@ func (g *GAT) ForwardBatch() *Matrix {
 		panic("nn: gat batch forward before SetBatch")
 	}
 	for b := range g.feats {
-		y := g.Forward(g.masks[b], g.feats[b])
+		y := g.Forward(g.ops[b], g.feats[b])
 		if b == 0 {
 			g.out.EnsureShape(len(g.feats)*y.Rows, y.Cols)
 		}
@@ -340,7 +316,7 @@ func (g *GAT) BackwardBatch(dY *Matrix) {
 	rows := dY.Rows / len(g.feats)
 	g.block.Rows, g.block.Cols = rows, dY.Cols
 	for b := range g.feats {
-		g.Forward(g.masks[b], g.feats[b])
+		g.Forward(g.ops[b], g.feats[b])
 		g.block.Data = dY.Data[b*rows*dY.Cols : (b+1)*rows*dY.Cols]
 		g.Backward(&g.block)
 	}

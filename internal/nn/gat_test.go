@@ -19,41 +19,61 @@ func gatFixture(t testing.TB) (*GAT, *Matrix, *Matrix) {
 			}
 		}
 	}
-	mask := SelfLoopMask(adj)
 	h := NewMatrix(5, 4)
 	h.XavierInit(rng, 4, 2)
-	return gat, mask, h
+	return gat, adj, h
 }
 
-func TestSelfLoopMask(t *testing.T) {
-	adj := FromSlice(2, 2, []float64{0, 1, 1, 0})
-	m := SelfLoopMask(adj)
-	want := []float64{1, 1, 1, 1}
-	for i, w := range want {
-		if m.Data[i] != w {
-			t.Fatalf("mask = %v, want %v", m.Data, want)
-		}
+// TestGATOperatorPatternBitForBit pins why the GAT can take the GCN's
+// operator: it reads only the operator's nonzero pattern, and Ŝ is nonzero
+// exactly where A + I is. Forward output, input gradient and weight
+// gradients on Ŝ must equal those on the 0/1 A + I bit for bit.
+func TestGATOperatorPatternBitForBit(t *testing.T) {
+	gat, adj, h := gatFixture(t)
+	selfLoops := adj.Clone()
+	for i := 0; i < selfLoops.Rows; i++ {
+		selfLoops.Set(i, i, 1)
 	}
-	iso := SelfLoopMask(NewMatrix(1, 1))
-	if iso.Data[0] != 1 {
-		t.Fatal("isolated node must attend to itself")
+	run := func(op *Matrix) [][]float64 {
+		ZeroGrads(gat.Params())
+		y := gat.Forward(op, h)
+		out := [][]float64{append([]float64(nil), y.Data...)}
+		dY := NewMatrix(y.Rows, y.Cols)
+		for i := range dY.Data {
+			dY.Data[i] = float64(i%5) - 1.5
+		}
+		out = append(out, append([]float64(nil), gat.Backward(dY).Data...))
+		for _, p := range gat.Params() {
+			out = append(out, append([]float64(nil), p.Grad.Data...))
+		}
+		return out
+	}
+	want := run(selfLoops)
+	got := run(NormalizeAdjacency(adj))
+	for k := range want {
+		for i := range want[k] {
+			if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
+				t.Fatalf("output %d element %d: %v on Ŝ, %v on A + I", k, i, got[k][i], want[k][i])
+			}
+		}
 	}
 }
 
 func TestGATForwardShapesAndAttentionRows(t *testing.T) {
-	gat, mask, h := gatFixture(t)
-	y := gat.Forward(mask, h)
+	gat, adj, h := gatFixture(t)
+	op := NormalizeAdjacency(adj)
+	y := gat.Forward(op, h)
 	if y.Rows != 5 || y.Cols != 2 {
 		t.Fatalf("output %dx%d, want 5x2", y.Rows, y.Cols)
 	}
-	// Each layer's attention rows must sum to 1 over the mask.
+	// Each layer's attention rows must sum to 1 over the operator's nonzeros.
 	for _, layer := range gat.layers {
 		for i := 0; i < 5; i++ {
 			var sum float64
 			for j := 0; j < 5; j++ {
 				a := layer.alpha.At(i, j)
-				if mask.At(i, j) == 0 && a != 0 {
-					t.Fatalf("attention leaked outside the mask at (%d,%d)", i, j)
+				if op.At(i, j) == 0 && a != 0 {
+					t.Fatalf("attention leaked outside the operator's pattern at (%d,%d)", i, j)
 				}
 				if a < 0 {
 					t.Fatalf("negative attention at (%d,%d)", i, j)
@@ -68,9 +88,10 @@ func TestGATForwardShapesAndAttentionRows(t *testing.T) {
 }
 
 func TestGATGradientMatchesFiniteDifference(t *testing.T) {
-	gat, mask, h := gatFixture(t)
+	gat, adj, h := gatFixture(t)
+	op := NormalizeAdjacency(adj)
 	loss := func() float64 {
-		y := gat.Forward(mask, h)
+		y := gat.Forward(op, h)
 		var s float64
 		for i, v := range y.Data {
 			s += v * v * float64(i%3+1)
@@ -79,7 +100,7 @@ func TestGATGradientMatchesFiniteDifference(t *testing.T) {
 	}
 	numeric := numericalGrad(gat.Params(), loss)
 	ZeroGrads(gat.Params())
-	y := gat.Forward(mask, h)
+	y := gat.Forward(op, h)
 	dY := NewMatrix(y.Rows, y.Cols)
 	for i, v := range y.Data {
 		dY.Data[i] = 2 * v * float64(i%3+1)
@@ -90,9 +111,10 @@ func TestGATGradientMatchesFiniteDifference(t *testing.T) {
 }
 
 func TestGATInputGradientMatchesFiniteDifference(t *testing.T) {
-	gat, mask, h := gatFixture(t)
+	gat, adj, h := gatFixture(t)
+	op := NormalizeAdjacency(adj)
 	loss := func() float64 {
-		y := gat.Forward(mask, h)
+		y := gat.Forward(op, h)
 		var s float64
 		for i, v := range y.Data {
 			s += v * float64(i+1)
@@ -100,7 +122,7 @@ func TestGATInputGradientMatchesFiniteDifference(t *testing.T) {
 		return s
 	}
 	ZeroGrads(gat.Params())
-	y := gat.Forward(mask, h)
+	y := gat.Forward(op, h)
 	dY := NewMatrix(y.Rows, y.Cols)
 	for i := range dY.Data {
 		dY.Data[i] = float64(i + 1)
@@ -127,7 +149,7 @@ func TestGATZeroLayersIdentity(t *testing.T) {
 		t.Fatal("zero-layer GAT should be identity-shaped")
 	}
 	h := FromSlice(1, 3, []float64{1, 2, 3})
-	y := gat.Forward(SelfLoopMask(NewMatrix(1, 1)), h)
+	y := gat.Forward(NormalizeAdjacency(NewMatrix(1, 1)), h)
 	for i := range h.Data {
 		if y.Data[i] != h.Data[i] {
 			t.Fatal("identity violated")
@@ -139,9 +161,10 @@ func TestGATZeroLayersIdentity(t *testing.T) {
 }
 
 func TestGATDeterministic(t *testing.T) {
-	gat, mask, h := gatFixture(t)
-	y1 := gat.Forward(mask, h).Clone()
-	y2 := gat.Forward(mask, h)
+	gat, adj, h := gatFixture(t)
+	op := NormalizeAdjacency(adj)
+	y1 := gat.Forward(op, h).Clone()
+	y2 := gat.Forward(op, h)
 	for i := range y1.Data {
 		if y1.Data[i] != y2.Data[i] {
 			t.Fatal("GAT forward not deterministic")

@@ -288,36 +288,6 @@ func ZeroGrads(ps []Param) {
 	}
 }
 
-// ScaleGrads multiplies all gradients by s (used for minibatch averaging
-// and multi-worker gradient averaging).
-func ScaleGrads(ps []Param, s float64) {
-	for _, p := range ps {
-		p.Grad.ScaleInPlace(s)
-	}
-}
-
-// GlobalGradNorm returns the L2 norm across all gradients.
-func GlobalGradNorm(ps []Param) float64 {
-	var s float64
-	for _, p := range ps {
-		for _, v := range p.Grad.Data {
-			s += v * v
-		}
-	}
-	return math.Sqrt(s)
-}
-
-// ClipGrads rescales gradients so their global norm is at most maxNorm.
-func ClipGrads(ps []Param, maxNorm float64) {
-	if maxNorm <= 0 {
-		return
-	}
-	n := GlobalGradNorm(ps)
-	if n > maxNorm {
-		ScaleGrads(ps, maxNorm/n)
-	}
-}
-
 // ExportWeights snapshots parameter values into plain float64 slices (one
 // per parameter, row-major), suitable for JSON persistence.
 func ExportWeights(ps []Param) [][]float64 {

@@ -57,22 +57,6 @@ type PPOConfig struct {
 	// TargetKL triggers early stopping of policy iterations when the
 	// sample KL estimate exceeds 1.5×TargetKL (SpinningUp convention).
 	TargetKL float64
-	// MaxGradNorm clips gradients when positive.
-	MaxGradNorm float64
-}
-
-// DefaultPPOConfig returns the paper defaults: clip ratio 0.2, actor LR
-// 3e-4, critic LR 1e-3, with SpinningUp's 80/80 iteration counts and 0.01
-// target KL.
-func DefaultPPOConfig() PPOConfig {
-	return PPOConfig{
-		ClipRatio:    0.2,
-		ActorLR:      3e-4,
-		CriticLR:     1e-3,
-		TrainPiIters: 80,
-		TrainVIters:  80,
-		TargetKL:     0.01,
-	}
 }
 
 // Validate checks the configuration.
@@ -235,9 +219,6 @@ func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
 		}
 		nn.ZeroGrads(ac.PolicyParams())
 		ac.BackwardPolicyBatch(&p.dLogits)
-		if p.cfg.MaxGradNorm > 0 {
-			nn.ClipGrads(ac.PolicyParams(), p.cfg.MaxGradNorm)
-		}
 		p.actorOpt.Step(ac.PolicyParams())
 	}
 
@@ -254,9 +235,6 @@ func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
 		stats.ValueLoss = loss / n
 		nn.ZeroGrads(ac.ValueParams())
 		ac.BackwardValueBatch(&p.dValues)
-		if p.cfg.MaxGradNorm > 0 {
-			nn.ClipGrads(ac.ValueParams(), p.cfg.MaxGradNorm)
-		}
 		p.criticOpt.Step(ac.ValueParams())
 	}
 	return stats, nil

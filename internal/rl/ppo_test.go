@@ -192,15 +192,19 @@ func TestPPOConfigValidation(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	if err := DefaultPPOConfig().Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+	if err := paperPPO.Validate(); err != nil {
+		t.Errorf("Table II config invalid: %v", err)
 	}
 }
+
+// paperPPO is Table II's update (clip ratio 0.2, actor LR 3e-4, critic LR
+// 1e-3) with SpinningUp's 80/80 iterations and 0.01 target KL.
+var paperPPO = PPOConfig{ClipRatio: 0.2, ActorLR: 3e-4, CriticLR: 1e-3, TrainPiIters: 80, TrainVIters: 80, TargetKL: 0.01}
 
 func TestPPOUpdateOnEmptyBufferFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ac := newTestAC(rng, 1, 2)
-	ppo, err := NewPPO(DefaultPPOConfig())
+	ppo, err := NewPPO(paperPPO)
 	if err != nil {
 		t.Fatal(err)
 	}

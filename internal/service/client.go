@@ -34,13 +34,10 @@ type Client struct {
 	// retry n sleeps Backoff×2ⁿ plus up to 50% jitter.
 	Backoff time.Duration
 	// MaxBackoff caps every sleep, including server-directed Retry-After
-	// pacing (default 30s).
+	// pacing (default 30s). The server's estimate is advice, not a
+	// contract: a buggy or overloaded server advertising an absurd pause
+	// must not park the client for it.
 	MaxBackoff time.Duration
-	// MaxRetryAfter caps how long a server-directed Retry-After header may
-	// pace a retry (default MaxBackoff). The server's estimate is advice,
-	// not a contract: a buggy or overloaded server advertising an absurd
-	// pause must not park the client for it.
-	MaxRetryAfter time.Duration
 }
 
 // APIError is a non-2xx response from the server.
@@ -81,31 +78,16 @@ func (c *Client) maxBackoff() time.Duration {
 	return 30 * time.Second
 }
 
-func (c *Client) maxRetryAfter() time.Duration {
-	if c.MaxRetryAfter > 0 {
-		return c.MaxRetryAfter
-	}
-	return c.maxBackoff()
-}
-
 // delay computes the sleep before retry number attempt (0-based): the
-// server's Retry-After when it sent one (clamped to MaxRetryAfter instead
-// of trusted verbatim), else jittered exponential backoff; both capped at
-// MaxBackoff.
+// server's Retry-After when it sent one, else jittered exponential
+// backoff; both capped at MaxBackoff.
 func (c *Client) delay(attempt int, retryAfter time.Duration) time.Duration {
 	d := retryAfter
-	if d > 0 {
-		if max := c.maxRetryAfter(); d > max {
-			d = max
-		}
-	} else {
+	if d <= 0 {
 		d = c.backoff() << attempt
 		d += time.Duration(rand.Int63n(int64(d)/2 + 1))
 	}
-	if max := c.maxBackoff(); d > max {
-		d = max
-	}
-	return d
+	return min(d, c.maxBackoff())
 }
 
 // sleep waits d or until ctx is cancelled.

@@ -243,7 +243,7 @@ func TestClientBackoffAbortsOnCancel(t *testing.T) {
 }
 
 // TestClientClampsAbsurdRetryAfter: a server-directed Retry-After far past
-// MaxRetryAfter paces the retry at the clamp, not the header.
+// MaxBackoff paces the retry at the clamp, not the header.
 func TestClientClampsAbsurdRetryAfter(t *testing.T) {
 	var mu sync.Mutex
 	var posts []time.Time
@@ -263,7 +263,7 @@ func TestClientClampsAbsurdRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := &Client{BaseURL: srv.URL, Backoff: time.Millisecond, MaxRetryAfter: 50 * time.Millisecond}
+	c := &Client{BaseURL: srv.URL, Backoff: time.Millisecond, MaxBackoff: 50 * time.Millisecond}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := c.Submit(ctx, tinyRequest(t)); err != nil {

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"slices"
 	"testing"
@@ -28,7 +30,8 @@ func TestFingerprintCanonicalizesSpec(t *testing.T) {
 	fingerprint := func(t *testing.T, problem []byte) string {
 		t.Helper()
 		body := []byte(`{"problem":` + string(problem) + `,"params":{"epochs":2,"steps":48,"k":4,"seed":2}}`)
-		req, err := decodeRequest(bytes.NewReader(body))
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		req, err := ReadRequest(httptest.NewRecorder(), r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -49,27 +48,28 @@ type apiServer struct {
 	mgr *Manager
 }
 
-// decodeRequest reads a POST /v1/jobs body. Unknown fields are rejected,
-// so a misspelled parameter fails loudly instead of planning with a
-// default.
-func decodeRequest(body io.Reader) (Request, error) {
+// ReadRequest reads a POST /v1/jobs request, the one decoder for the
+// replica and fleet APIs. The body is bounded by maxRequestBody, unknown
+// fields are rejected, so a misspelled parameter fails loudly instead of
+// planning with a default, and ?certify=1 forces the audit.
+func ReadRequest(w http.ResponseWriter, r *http.Request) (Request, error) {
 	var req Request
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return Request{}, fmt.Errorf("request body: %w", err)
+	}
+	if r.URL.Query().Get("certify") == "1" {
+		req.Certify = true
 	}
 	return req, nil
 }
 
 func (a *apiServer) submit(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	req, err := ReadRequest(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if r.URL.Query().Get("certify") == "1" {
-		req.Certify = true
 	}
 	st, err := a.mgr.Submit(req)
 	switch {

@@ -411,11 +411,12 @@ func timeoutCtx(d time.Duration) (ctx context.Context, cancel context.CancelFunc
 	return context.WithTimeout(context.Background(), d)
 }
 
-// FuzzJobRequest feeds arbitrary bytes through the POST /v1/jobs body
-// decode and the request checks Submit runs before it queues anything:
-// base resolution, delta derivation, problem decode and validation,
-// planner-config validation and fingerprinting. Untrusted bodies of any
-// shape must be rejected with an error, never a panic.
+// FuzzJobRequest feeds arbitrary bytes through ReadRequest, the POST
+// /v1/jobs decoder of both the replica and the fleet API, and the request
+// checks Submit runs before it queues anything: base resolution, delta
+// derivation, problem decode and validation, planner-config validation and
+// fingerprinting. Untrusted bodies of any shape must be rejected with an
+// error, never a panic.
 func FuzzJobRequest(f *testing.F) {
 	full, err := json.Marshal(tinyRequest(f))
 	if err != nil {
@@ -428,7 +429,8 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add([]byte(`{"unknown":1}`))
 	f.Add([]byte(`[]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeRequest(bytes.NewReader(data))
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs?certify=1", bytes.NewReader(data))
+		req, err := ReadRequest(httptest.NewRecorder(), r)
 		if err != nil {
 			return
 		}

@@ -79,13 +79,6 @@ type Options struct {
 	// safe and never changes a run's trajectory; its payoff is delta
 	// re-planning, where most of a base plan's scenarios recur verbatim.
 	VerdictCacheSize int
-	// Progress, when non-nil, observes every job's per-epoch progress
-	// (after the job's own status/heartbeat bookkeeping). It is called
-	// outside all engine locks and — unlike the raw planner callback — a
-	// slow or blocking observer does not starve the job's heartbeat: the
-	// manager keeps beating on the job's behalf while the observer runs,
-	// so the stuck-job watchdog only fires on genuinely stuck planning.
-	Progress func(jobID string, es core.EpochStats)
 	// Fault, when non-nil, arms deterministic fault injection across the
 	// engine: filesystem faults in the record store and panic/hang/delay
 	// faults in the planning path (fault.PointPlan once per job run,
@@ -942,17 +935,6 @@ func (m *Manager) train(ctx context.Context, j *job) (candidate, error) {
 			p.GuaranteeMet = true
 		}
 		j.mu.Unlock()
-		if obs := m.opt.Progress; obs != nil {
-			// The observer runs outside every engine lock, and the job keeps
-			// its heartbeat through a proxy beater for as long as the
-			// observer blocks: a slow dashboard must not get a healthy job
-			// killed by the stuck-job watchdog. The planner itself holds no
-			// locks during Progress, so blocking here stalls only this job's
-			// training clock, never the engine.
-			stop := m.beatWhile(j)
-			defer stop()
-			obs(j.id, es)
-		}
 	}
 	if f := m.opt.Fault; f != nil {
 		cfg.ExploreHook = func(ctx context.Context, epoch, worker int) {
@@ -1067,31 +1049,6 @@ func (m *Manager) ReloadZoo() (int, error) {
 	n := m.opt.Zoo.Len()
 	m.met.zooSize.Set(float64(n))
 	return n, nil
-}
-
-// beatWhile keeps j's watchdog heartbeat alive on the caller's behalf
-// until the returned stop function runs. Used around external observer
-// callbacks: the job is not stuck, it is waiting on the observer.
-func (m *Manager) beatWhile(j *job) func() {
-	if m.opt.StuckTimeout <= 0 {
-		return func() {}
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(m.opt.StuckTimeout / 4)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				j.beat()
-			}
-		}
-	}()
-	return func() { close(stop); <-done }
 }
 
 func boolTo01(b bool) float64 {

@@ -17,15 +17,10 @@ type RolloutOptions struct {
 	// More streams buy robustness against a single unlucky construction
 	// order at pure-inference cost.
 	Streams int
-	// MaxSteps is the per-stream environment step budget (default: the
-	// config's MaxStep, else 256).
-	MaxSteps int
 	// Workers bounds rollout concurrency; streams are partitioned
 	// round-robin, so the per-stream trajectory — and hence the returned
 	// plan — is bit-identical for every worker count (default 1).
 	Workers int
-	// Seed offsets the stream environment seeds; zero uses the config's.
-	Seed int64
 }
 
 // RolloutStats reports what a rollout spent and found.
@@ -48,12 +43,12 @@ type stream struct {
 
 // Rollout runs a pretrained policy greedily — masked argmax, no PPO, no
 // gradient work — over Streams independent environments and returns the
-// cheapest solution found (nil when no stream solved). The caller owns
-// certification: a zoo policy's plan is a *candidate* until the certifier
-// accepts it.
+// cheapest solution found (nil when no stream solved). Each stream takes at
+// most cfg.MaxStep environment steps. The caller owns certification: a zoo
+// policy's plan is a *candidate* until the certifier accepts it.
 //
 // Determinism: stream s always runs in an environment seeded
-// opt.Seed + s*104729 + 2 (the planner's worker-env schedule), actions are
+// cfg.Seed + s*104729 + 2 (the planner's worker-env schedule), actions are
 // argmax with lowest-index tie-break, and the global winner is the lowest
 // cost with the lowest stream index as tie-break — so the returned plan is
 // bit-identical across worker counts, whatever streams share a batched
@@ -62,21 +57,11 @@ func Rollout(ctx context.Context, prob *core.Problem, cfg core.Config, weights [
 	if opt.Streams <= 0 {
 		opt.Streams = 1
 	}
-	if opt.MaxSteps <= 0 {
-		if cfg.MaxStep > 0 {
-			opt.MaxSteps = cfg.MaxStep
-		} else {
-			opt.MaxSteps = 256
-		}
-	}
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
 	if opt.Workers > opt.Streams {
 		opt.Workers = opt.Streams
-	}
-	if opt.Seed == 0 {
-		opt.Seed = cfg.Seed
 	}
 
 	// One shared verdict cache across streams: hits return exactly what
@@ -89,7 +74,7 @@ func Rollout(ctx context.Context, prob *core.Problem, cfg core.Config, weights [
 
 	streams := make([]*stream, opt.Streams)
 	for s := range streams {
-		env, err := core.NewEnvWithCache(prob, cfg, opt.Seed+int64(s)*104729+2, cache)
+		env, err := core.NewEnvWithCache(prob, cfg, cfg.Seed+int64(s)*104729+2, cache)
 		if err != nil {
 			return nil, RolloutStats{}, fmt.Errorf("zoo: rollout env: %w", err)
 		}
@@ -130,7 +115,7 @@ func Rollout(ctx context.Context, prob *core.Problem, cfg core.Config, weights [
 				errs[w] = fmt.Errorf("zoo: rollout nets: %w", err)
 				return
 			}
-			errs[w] = runStreams(ctx, nets, owned, opt.MaxSteps)
+			errs[w] = runStreams(ctx, nets, owned, cfg.MaxStep)
 		}(w, owned)
 	}
 	wg.Wait()

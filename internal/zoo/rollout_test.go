@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -66,12 +67,13 @@ func TestRolloutDeterministicAcrossWorkersAndBatching(t *testing.T) {
 func TestRolloutReproducible(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyCfg()
+	cfg.Seed = 7
 	weights := trainedWeights(t)
-	_, statsA, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{Streams: 2, Seed: 7})
+	_, statsA, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{Streams: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, statsB, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{Streams: 2, Seed: 7})
+	_, statsB, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{Streams: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,26 +133,46 @@ func TestGreedyActionRules(t *testing.T) {
 
 // TestRolloutStreamSeedsFollowPlannerSchedule pins the seed schedule to
 // the planner's worker-env layout, so a zoo rollout explores the same
-// environment sequence a training run with the same seed would.
+// environment sequence a training run with the same seed would: stream 0
+// of a rollout at seed 4 must equal one greedy stream in the environment
+// the planner's worker 0 gets at seed 4. That environment (seed 6) plans
+// differently from its neighbours (seeds 5 and 7), so a shifted schedule
+// shows.
 func TestRolloutStreamSeedsFollowPlannerSchedule(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyCfg()
+	cfg.Seed = 4
 	weights := trainedWeights(t)
-	// Stream 0 with base seed 5 must equal stream 0 with Seed option 5:
-	// the option only offsets the base, not the schedule.
-	solA, _, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{Streams: 1, Seed: 5})
+	solA, _, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{Streams: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg2 := cfg
-	cfg2.Seed = 5
-	solB, _, err := Rollout(context.Background(), prob, cfg2, weights, RolloutOptions{Streams: 1})
+	if solA == nil {
+		t.Fatal("rollout found no plan")
+	}
+	env, err := core.NewEnvWithCache(prob, cfg, cfg.Seed+2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := solutionBytes(t, solA), solutionBytes(t, solB)
+	soag, err := core.NewSOAG(prob, cfg.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := core.NewEncoderWithOptions(prob, cfg.K, cfg.PerFlowEncoding)
+	nets, err := core.NewNets(rand.New(rand.NewSource(cfg.Seed)), enc, soag.ActionSpaceSize(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nets.ImportWeights(weights); err != nil {
+		t.Fatal(err)
+	}
+	s := &stream{env: env}
+	if err := runStreams(context.Background(), nets, []*stream{s}, cfg.MaxStep); err != nil {
+		t.Fatal(err)
+	}
+	a, b := solutionBytes(t, solA), solutionBytes(t, env.Best())
 	if !bytes.Equal(a, b) {
-		t.Fatal("explicit Seed option and config seed produced different plans")
+		t.Fatal("rollout stream 0 and the planner's worker-0 environment produced different plans")
 	}
 }
 
