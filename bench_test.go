@@ -111,7 +111,7 @@ func benchFig4(b *testing.B, approaches []eval.Approach, metric func(map[eval.Ap
 	for i := 0; i < b.N; i++ {
 		flows := scen.RandomFlows(10, int64(i+1))
 		prob := scen.Problem(flows, &nbf.StatelessRecovery{MaxAlternatives: 3}, 1e-6)
-		res, err := eval.RunCase(prob, scen.Original, cfg, cfg, approaches)
+		res, err := eval.RunCase(prob, scen.Original, cfg, approaches)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func BenchmarkFig4c_ASILDistribution(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prob := scen.Problem(scenarios.ADSFlows(int64(i+1)), &nbf.StatelessRecovery{MaxAlternatives: 3}, 1e-6)
-		res, err := eval.RunCase(prob, nil, cfg, cfg, []eval.Approach{eval.ApproachNPTSN})
+		res, err := eval.RunCase(prob, nil, cfg, []eval.Approach{eval.ApproachNPTSN})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -159,8 +159,7 @@ func run(args []string, out io.Writer) error {
 			FlowCounts:     flowCounts,
 			Cases:          *cases,
 			Seed:           *seed,
-			NPTSNCfg:       cfg,
-			NeuroPlanCfg:   cfg,
+			Cfg:            cfg,
 			Progress:       progress,
 			Certify:        *doCert,
 			CertifyOptions: certify.Options{Samples: *certSamp, Seed: *seed},

@@ -35,7 +35,7 @@ func main() {
 	cfg.GCNHidden = 16
 	cfg.Seed = 3
 
-	results, err := eval.RunCase(prob, scen.Original, cfg, cfg, eval.AllApproaches())
+	results, err := eval.RunCase(prob, scen.Original, cfg, eval.AllApproaches())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func TestEndToEndFig4MicroOrdering(t *testing.T) {
 	flows := scen.RandomFlows(10, 4)
 	prob := scen.Problem(flows, &nbf.StatelessRecovery{MaxAlternatives: 3}, 1e-6)
 	cfg := microCfg(2)
-	res, err := eval.RunCase(prob, scen.Original, cfg, cfg,
+	res, err := eval.RunCase(prob, scen.Original, cfg,
 		[]eval.Approach{eval.ApproachOriginal, eval.ApproachNPTSN})
 	if err != nil {
 		t.Fatal(err)

@@ -230,17 +230,6 @@ func (l *Library) FailureProb(level Level) float64 {
 	return l.failProb[level]
 }
 
-// CheapestLevelWithin returns the least critical ASIL whose failure
-// probability is at most maxProb, or false when even ASIL-D exceeds it.
-func (l *Library) CheapestLevelWithin(maxProb float64) (Level, bool) {
-	for _, lvl := range Levels() {
-		if l.failProb[lvl] <= maxProb {
-			return lvl, true
-		}
-	}
-	return 0, false
-}
-
 // Assignment records the ASIL allocated to the switches and links of a
 // topology. Switch keys are vertex IDs; link keys are canonical edges.
 type Assignment struct {

@@ -114,19 +114,6 @@ func TestLevelHelpers(t *testing.T) {
 	}
 }
 
-func TestCheapestLevelWithin(t *testing.T) {
-	lib := DefaultLibrary()
-	if lvl, ok := lib.CheapestLevelWithin(1e-3); !ok || lvl != LevelA {
-		t.Errorf("CheapestLevelWithin(1e-3) = %v,%v", lvl, ok)
-	}
-	if lvl, ok := lib.CheapestLevelWithin(5e-5); !ok || lvl != LevelC {
-		t.Errorf("CheapestLevelWithin(5e-5) = %v,%v", lvl, ok)
-	}
-	if _, ok := lib.CheapestLevelWithin(1e-9); ok {
-		t.Error("nothing should satisfy 1e-9")
-	}
-}
-
 func TestNewLibraryValidation(t *testing.T) {
 	base := LibraryConfig{
 		PortOptions: []int{4},

@@ -53,16 +53,12 @@ func newNPEnv(prob *core.Problem, cfg core.Config) (*npEnv, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
-	var cache *failure.Cache
-	if cfg.AnalyzerCacheSize > 0 {
-		cache = failure.NewCache(cfg.AnalyzerCacheSize)
-	}
 	e := &npEnv{
 		prob: prob,
 		analyzer: &failure.Analyzer{
 			Lib: prob.Library, NBF: prob.NBF, Net: prob.Net, R: prob.ReliabilityGoal,
 			Workers: cfg.AnalyzerWorkers,
-			Cache:   cache,
+			Cache:   cfg.VerdictCache(),
 		},
 		// K=1 keeps one (always empty) action column; the encoder needs a
 		// positive width but NeuroPlan never populates path actions.

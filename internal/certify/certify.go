@@ -39,10 +39,6 @@ type Options struct {
 	// links) for the exhaustive brute-force cross-check; larger instances
 	// skip it (default 14, ~16k subsets per order).
 	MaxBruteComponents int
-	// MaxEnumScenarios caps the exhaustive non-safe-scenario enumeration
-	// used to compute the total probability mass behind the coverage
-	// figure (default 200000; exceeded => total mass reported as unknown).
-	MaxEnumScenarios int
 	// HorizonBasePeriods is the simulated duration per injection trial
 	// (default 16 base periods).
 	HorizonBasePeriods int
@@ -60,9 +56,6 @@ func (o *Options) defaults() {
 	}
 	if o.MaxBruteComponents == 0 {
 		o.MaxBruteComponents = 14
-	}
-	if o.MaxEnumScenarios == 0 {
-		o.MaxEnumScenarios = 200000
 	}
 	if o.HorizonBasePeriods == 0 {
 		o.HorizonBasePeriods = 16

@@ -221,10 +221,14 @@ func componentLess(a, b component) bool {
 	return a.edge.V < b.edge.V
 }
 
+// maxEnumScenarios caps the exhaustive non-safe-scenario enumeration
+// behind the coverage figure's total probability mass.
+const maxEnumScenarios = 200000
+
 // enumerateNonSafeMass exhaustively sums the Eq. 2 probability of every
 // nonempty component subset with probability >= R, pruning on the sorted
 // probabilities. It reports ok=false when the subset count exceeds
-// MaxEnumScenarios (total mass then stays unknown on the certificate).
+// maxEnumScenarios (total mass then stays unknown on the certificate).
 func (c *Certifier) enumerateNonSafeMass(comps []component) (float64, bool) {
 	var mass float64
 	count := 0
@@ -236,7 +240,7 @@ func (c *Certifier) enumerateNonSafeMass(comps []component) (float64, bool) {
 				return true // sorted descending: no later component helps
 			}
 			count++
-			if count > c.Opt.MaxEnumScenarios {
+			if count > maxEnumScenarios {
 				return false
 			}
 			mass += p

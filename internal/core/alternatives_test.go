@@ -50,12 +50,12 @@ func TestSolutionBonusAddsToReward(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyConfig()
 	cfg.SolutionBonus = 2.5
-	envBonus, err := NewEnv(prob, cfg, 1)
+	envBonus, err := NewEnvWithCache(prob, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgPlain := tinyConfig()
-	envPlain, err := NewEnv(prob, cfgPlain, 1)
+	envPlain, err := NewEnvWithCache(prob, cfgPlain, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFlowLevelRedundancyProblemWiring(t *testing.T) {
 	if err := prob.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnv(prob, tinyConfig(), 1)
+	env, err := NewEnvWithCache(prob, tinyConfig(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestForwardPolicyValueBatchMatchesSingle(t *testing.T) {
 	}
 
 	// Distinct observations from states along a greedy rollout.
-	env, err := NewEnv(prob, cfg, 42)
+	env, err := NewEnvWithCache(prob, cfg, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

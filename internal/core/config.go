@@ -253,3 +253,18 @@ func (c Config) PPOConfig() rl.PPOConfig {
 		TargetKL:     c.TargetKL,
 	}
 }
+
+// VerdictCache is the failure-analysis verdict cache one run shares across
+// its environments: SharedAnalyzerCache when set, else a fresh cache of
+// AnalyzerCacheSize entries, else nil (no memoization). A hit returns
+// exactly what the simulation would recompute, so the choice never changes
+// a result.
+func (c Config) VerdictCache() *failure.Cache {
+	if c.SharedAnalyzerCache != nil {
+		return c.SharedAnalyzerCache
+	}
+	if c.AnalyzerCacheSize > 0 {
+		return failure.NewCache(c.AnalyzerCacheSize)
+	}
+	return nil
+}

@@ -80,20 +80,10 @@ func (e *Env) AnalysisStats() (d time.Duration, hits, misses int) {
 	return e.analysisTime, e.analysisHits, e.analysisMisses
 }
 
-// NewEnv builds an environment. The seed drives both the SOAG's random
-// pair selection and nothing else (action sampling uses the agent's RNG).
-// When cfg.AnalyzerCacheSize > 0 the environment gets a private verdict
-// cache; use NewEnvWithCache to share one cache across environments.
-func NewEnv(prob *Problem, cfg Config, seed int64) (*Env, error) {
-	var cache *failure.Cache
-	if cfg.AnalyzerCacheSize > 0 {
-		cache = failure.NewCache(cfg.AnalyzerCacheSize)
-	}
-	return NewEnvWithCache(prob, cfg, seed, cache)
-}
-
-// NewEnvWithCache is NewEnv with an explicit (possibly shared, possibly
-// nil) failure-analysis verdict cache.
+// NewEnvWithCache builds an environment that consults cache, which may be
+// shared with other environments or nil, for failure-analysis verdicts.
+// The seed drives the SOAG's random pair selection and nothing else
+// (action sampling uses the agent's RNG).
 func NewEnvWithCache(prob *Problem, cfg Config, seed int64, cache *failure.Cache) (*Env, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err

@@ -64,7 +64,7 @@ func greedySolve(t *testing.T, env *Env, maxSteps int) *Solution {
 func TestEnvGreedyConstructionReachesSolution(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyConfig()
-	env, err := NewEnv(prob, cfg, 1)
+	env, err := NewEnvWithCache(prob, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestEnvGreedyConstructionReachesSolution(t *testing.T) {
 func TestEnvRewardIsNegativeCostDelta(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyConfig()
-	env, err := NewEnv(prob, cfg, 1)
+	env, err := NewEnvWithCache(prob, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestEnvRewardIsNegativeCostDelta(t *testing.T) {
 
 func TestEnvStepErrors(t *testing.T) {
 	prob := tinyProblem(t)
-	env, err := NewEnv(prob, tinyConfig(), 1)
+	env, err := NewEnvWithCache(prob, tinyConfig(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestEnvSolvedTrivialProblem(t *testing.T) {
 	if err := prob.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnv(prob, tinyConfig(), 1)
+	env, err := NewEnvWithCache(prob, tinyConfig(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

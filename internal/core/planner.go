@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/failure"
 	"repro/internal/nn"
 	"repro/internal/obsv"
 	"repro/internal/rl"
@@ -301,13 +300,8 @@ func (p *Planner) PlanContext(ctx context.Context) (*Report, error) {
 	}
 
 	// One verdict cache shared by all exploration workers, so a scenario
-	// simulated by any worker is a hit for every other one. A caller-owned
-	// SharedAnalyzerCache takes precedence, letting warm verdicts from a
-	// base plan's run serve its delta re-plans.
-	cache := p.cfg.SharedAnalyzerCache
-	if cache == nil && p.cfg.AnalyzerCacheSize > 0 {
-		cache = failure.NewCache(p.cfg.AnalyzerCacheSize)
-	}
+	// simulated by any worker is a hit for every other one.
+	cache := p.cfg.VerdictCache()
 
 	// All policy/value evaluation runs on the global networks behind one
 	// barrier. Sharing them is safe because the weights change only in the

@@ -38,7 +38,7 @@ func orionUpdateFixture(tb testing.TB, cfg core.Config, steps int) (*core.Nets, 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	env, err := core.NewEnv(prob, cfg, cfg.Seed+2)
+	env, err := core.NewEnvWithCache(prob, cfg, cfg.Seed+2, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestTSSDNInvariantsUnderRandomWalk(t *testing.T) {
 			return false
 		}
 		cfg := tinyConfig()
-		env, err := NewEnv(prob, cfg, seed)
+		env, err := NewEnvWithCache(prob, cfg, seed, nil)
 		if err != nil {
 			return false
 		}
@@ -78,7 +78,7 @@ func TestRewardTelescopingProperty(t *testing.T) {
 			return false
 		}
 		cfg := tinyConfig()
-		env, err := NewEnv(prob, cfg, seed)
+		env, err := NewEnvWithCache(prob, cfg, seed, nil)
 		if err != nil {
 			return false
 		}
@@ -137,7 +137,7 @@ func TestRewardTelescopingExact(t *testing.T) {
 		t.Fatal("fixture")
 	}
 	cfg := tinyConfig()
-	env, err := NewEnv(prob, cfg, 1)
+	env, err := NewEnvWithCache(prob, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,7 +289,7 @@ func TestConfigValidateResilienceKnobs(t *testing.T) {
 func TestEnvStateRoundTrip(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyConfig()
-	env, err := NewEnv(prob, cfg, 5)
+	env, err := NewEnvWithCache(prob, cfg, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestEnvStateRoundTrip(t *testing.T) {
 	}
 	st := env.ExportState()
 
-	clone, err := NewEnv(prob, cfg, 999) // different seed: state import overrides it
+	clone, err := NewEnvWithCache(prob, cfg, 999, nil) // different seed: state import overrides it
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestEnvStateRoundTrip(t *testing.T) {
 
 func TestEnvImportStateRejectsGarbage(t *testing.T) {
 	prob := tinyProblem(t)
-	env, err := NewEnv(prob, tinyConfig(), 5)
+	env, err := NewEnvWithCache(prob, tinyConfig(), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,9 @@ func switchLevelCounts(sol *core.Solution) map[asil.Level]int {
 
 // RunCase evaluates the selected approaches on one planning problem.
 // `original` supplies the manual topology for ApproachOriginal (skipped
-// when nil). The two RL configurations are used as-is, so callers control
+// when nil). Both RL approaches train under cfg as-is, so callers control
 // the training budget.
-func RunCase(prob *core.Problem, original *graph.Graph, nptsnCfg, neuroPlanCfg core.Config, approaches []Approach) (map[Approach]CaseResult, error) {
+func RunCase(prob *core.Problem, original *graph.Graph, cfg core.Config, approaches []Approach) (map[Approach]CaseResult, error) {
 	out := make(map[Approach]CaseResult, len(approaches))
 	for _, ap := range approaches {
 		switch ap {
@@ -73,7 +73,7 @@ func RunCase(prob *core.Problem, original *graph.Graph, nptsnCfg, neuroPlanCfg c
 			if original == nil {
 				continue
 			}
-			res, err := (&baselines.Original{Topology: original, AnalyzerWorkers: nptsnCfg.AnalyzerWorkers}).Plan(prob)
+			res, err := (&baselines.Original{Topology: original, AnalyzerWorkers: cfg.AnalyzerWorkers}).Plan(prob)
 			if err != nil {
 				return nil, fmt.Errorf("original: %w", err)
 			}
@@ -96,7 +96,7 @@ func RunCase(prob *core.Problem, original *graph.Graph, nptsnCfg, neuroPlanCfg c
 			}
 			out[ap] = cr
 		case ApproachNeuroPlan:
-			np, err := baselines.NewNeuroPlan(neuroPlanCfg)
+			np, err := baselines.NewNeuroPlan(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -112,7 +112,7 @@ func RunCase(prob *core.Problem, original *graph.Graph, nptsnCfg, neuroPlanCfg c
 			}
 			out[ap] = cr
 		case ApproachNPTSN:
-			pl, err := core.NewPlanner(prob, nptsnCfg)
+			pl, err := core.NewPlanner(prob, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -373,28 +373,6 @@ func (r *SensitivityResult) Render() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// FinalRewards summarizes each curve by its mean reward over the last
-// quarter of training (a convergence proxy used in the shape assertions).
-func (r *SensitivityResult) FinalRewards() map[string]float64 {
-	out := make(map[string]float64, len(r.Labels))
-	for _, l := range r.Labels {
-		curve := r.Rewards[l]
-		if len(curve) == 0 {
-			continue
-		}
-		start := len(curve) * 3 / 4
-		if start == len(curve) {
-			start = len(curve) - 1
-		}
-		var sum float64
-		for _, v := range curve[start:] {
-			sum += v
-		}
-		out[l] = sum / float64(len(curve)-start)
-	}
-	return out
 }
 
 // SortedApproaches returns a stable ordering for map iteration in reports.

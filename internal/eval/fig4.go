@@ -21,14 +21,8 @@ type Fig4Options struct {
 	Cases int
 	// Seed drives flow generation; case i of count n uses Seed + n*1000 + i.
 	Seed int64
-	// R is the reliability goal (1e-6).
-	R float64
-	// NBF is the recovery mechanism; nil selects the default stateless
-	// greedy recovery (the [9] stand-in).
-	NBF nbf.NBF
-	// NPTSNCfg / NeuroPlanCfg set the RL training budgets.
-	NPTSNCfg     core.Config
-	NeuroPlanCfg core.Config
+	// Cfg sets the training budget of both RL approaches.
+	Cfg core.Config
 	// Approaches selects the lineup (default: all four).
 	Approaches []Approach
 	// Progress, when non-nil, receives per-case status lines.
@@ -47,12 +41,6 @@ func (o *Fig4Options) defaults() {
 	if o.Cases == 0 {
 		o.Cases = 10
 	}
-	if o.R == 0 {
-		o.R = 1e-6
-	}
-	if o.NBF == nil {
-		o.NBF = &nbf.StatelessRecovery{MaxAlternatives: 3}
-	}
 	if len(o.Approaches) == 0 {
 		o.Approaches = AllApproaches()
 	}
@@ -60,6 +48,9 @@ func (o *Fig4Options) defaults() {
 		o.Progress = func(string, ...interface{}) {}
 	}
 }
+
+// fig4Reliability is the sweep's reliability goal R (§VI-A).
+const fig4Reliability = 1e-6
 
 // RunFig4 executes the full sweep: for every flow count it generates
 // `Cases` random flow sets and runs each selected approach, aggregating
@@ -69,13 +60,15 @@ func RunFig4(opts Fig4Options) (*Fig4Result, error) {
 	if opts.Scenario == nil {
 		return nil, fmt.Errorf("fig4: nil scenario")
 	}
+	// The default stateless greedy recovery, the [9] stand-in.
+	recovery := &nbf.StatelessRecovery{MaxAlternatives: 3}
 	result := &Fig4Result{Approaches: opts.Approaches}
 	for _, n := range opts.FlowCounts {
 		var cases []map[Approach]CaseResult
 		for c := 0; c < opts.Cases; c++ {
 			flows := opts.Scenario.RandomFlows(n, opts.Seed+int64(n)*1000+int64(c))
-			prob := opts.Scenario.Problem(flows, opts.NBF, opts.R)
-			res, err := RunCase(prob, opts.Scenario.Original, opts.NPTSNCfg, opts.NeuroPlanCfg, opts.Approaches)
+			prob := opts.Scenario.Problem(flows, recovery, fig4Reliability)
+			res, err := RunCase(prob, opts.Scenario.Original, opts.Cfg, opts.Approaches)
 			if err != nil {
 				return nil, fmt.Errorf("fig4: %d flows case %d: %w", n, c, err)
 			}

@@ -61,8 +61,6 @@ type ZooChurnOptions struct {
 	// CertifySamples bounds the Monte Carlo audit per zoo candidate
 	// (default 64 — this is an evaluation, not production serving).
 	CertifySamples int
-	// Streams is the rollout width per zoo attempt (default 4).
-	Streams int
 }
 
 // RunZooChurn replays a churn trace through the zoo inference fast path
@@ -77,9 +75,6 @@ func RunZooChurn(trace *scenarios.ChurnTrace, opt ZooChurnOptions) (*ZooChurnRes
 	}
 	if opt.CertifySamples == 0 {
 		opt.CertifySamples = 64
-	}
-	if opt.Streams == 0 {
-		opt.Streams = 4
 	}
 	reg := nbf.NewRegistry()
 	verdicts := failure.NewCache(1 << 16)
@@ -111,10 +106,7 @@ func RunZooChurn(trace *scenarios.ChurnTrace, opt ZooChurnOptions) (*ZooChurnRes
 			c.Policy, c.Distance = m.Entry.Name, m.Distance
 			cfg := opt.Cfg
 			cfg.SharedAnalyzerCache = verdicts
-			sol, stats, err := zoo.Rollout(ctx, prob, cfg, m.Weights, zoo.RolloutOptions{
-				Streams: opt.Streams,
-				Workers: cfg.Workers,
-			})
+			sol, stats, err := zoo.Rollout(ctx, prob, cfg, m.Weights, zoo.RolloutOptions{})
 			c.ZooEnvSteps = stats.EnvSteps
 			switch {
 			case err != nil || sol == nil:

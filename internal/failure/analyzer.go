@@ -200,21 +200,3 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, gt *graph.Graph, assign *
 	finish()
 	return res, nil
 }
-
-// subsetOfSorted reports whether sorted slice a is a subset of sorted slice b.
-func subsetOfSorted(a, b []int) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	i := 0
-	for _, x := range a {
-		for i < len(b) && b[i] < x {
-			i++
-		}
-		if i >= len(b) || b[i] != x {
-			return false
-		}
-		i++
-	}
-	return true
-}

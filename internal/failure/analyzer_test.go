@@ -253,26 +253,6 @@ func TestMaxOrder(t *testing.T) {
 	}
 }
 
-func TestSubsetOfSorted(t *testing.T) {
-	cases := []struct {
-		a, b []int
-		want bool
-	}{
-		{nil, []int{1, 2}, true},
-		{[]int{1}, []int{1, 2}, true},
-		{[]int{2}, []int{1, 2}, true},
-		{[]int{3}, []int{1, 2}, false},
-		{[]int{1, 2}, []int{1, 2}, true},
-		{[]int{1, 3}, []int{1, 2, 3}, true},
-		{[]int{1, 2, 3}, []int{1, 2}, false},
-	}
-	for _, c := range cases {
-		if got := subsetOfSorted(c.a, c.b); got != c.want {
-			t.Errorf("subsetOfSorted(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestAnalyzerFlowLevelRedundancyChecksEndStations(t *testing.T) {
 	g := dualHomed(t, 2)
 	a := assignLevels(g, map[int]asil.Level{2: asil.LevelC, 3: asil.LevelC})

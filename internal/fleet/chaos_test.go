@@ -252,9 +252,9 @@ func requestHomedOn(t *testing.T, c *Coordinator, want string) (service.Request,
 			t.Fatal(err)
 		}
 		c.mu.Lock()
-		owner, ok := c.ring.Owner(fp)
+		owner := home(c.ring, fp)
 		c.mu.Unlock()
-		if ok && owner == want {
+		if owner == want {
 			return req, fp
 		}
 	}

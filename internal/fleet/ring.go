@@ -89,31 +89,6 @@ func (r *Ring) Contains(id string) bool { return r.members[id] }
 // Len is the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Members returns the member IDs in sorted order.
-func (r *Ring) Members() []string {
-	ids := make([]string, 0, len(r.members))
-	for id := range r.members {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Owner returns the key's home replica: the member owning the first point
-// at or after the key's hash, wrapping at the top of the ring. ok is false
-// on an empty ring.
-func (r *Ring) Owner(key string) (id string, ok bool) {
-	if len(r.points) == 0 {
-		return "", false
-	}
-	h := ringHash(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].id, true
-}
-
 // Sequence returns every member exactly once, in the order their points
 // appear walking the ring clockwise from the key's position: the home
 // replica first, then each successive fallback. This is the fleet's

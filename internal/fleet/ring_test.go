@@ -14,11 +14,20 @@ func ringKeys(n int) []string {
 	return keys
 }
 
+// home is the key's home replica, the head of its failover sequence that
+// the coordinator routes by; "" on an empty ring.
+func home(r *Ring, key string) string {
+	if seq := r.Sequence(key); len(seq) > 0 {
+		return seq[0]
+	}
+	return ""
+}
+
 func ownerCounts(r *Ring, keys []string) map[string]int {
 	counts := make(map[string]int)
 	for _, k := range keys {
-		id, ok := r.Owner(k)
-		if !ok {
+		id := home(r, k)
+		if id == "" {
 			panic("empty ring")
 		}
 		counts[id]++
@@ -62,13 +71,13 @@ func TestRingJoinMovesKeysOnlyToNewcomer(t *testing.T) {
 	keys := ringKeys(10000)
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
-		before[k], _ = r.Owner(k)
+		before[k] = home(r, k)
 	}
 
 	r.Add("replica-new")
 	moved := 0
 	for _, k := range keys {
-		after, _ := r.Owner(k)
+		after := home(r, k)
 		if after == before[k] {
 			continue
 		}
@@ -94,13 +103,13 @@ func TestRingLeaveKeepsSurvivorKeys(t *testing.T) {
 	keys := ringKeys(10000)
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
-		before[k], _ = r.Owner(k)
+		before[k] = home(r, k)
 	}
 
 	const victim = "replica-2"
 	r.Remove(victim)
 	for _, k := range keys {
-		after, _ := r.Owner(k)
+		after := home(r, k)
 		if before[k] == victim {
 			if after == victim {
 				t.Fatalf("key %s still owned by the removed replica", k)
@@ -114,7 +123,7 @@ func TestRingLeaveKeepsSurvivorKeys(t *testing.T) {
 }
 
 // TestRingSequence: the failover order starts at the home replica, covers
-// every member exactly once, and agrees with Owner.
+// every member exactly once.
 func TestRingSequence(t *testing.T) {
 	r := NewRing(0)
 	members := []string{"a", "b", "c", "d"}
@@ -122,13 +131,9 @@ func TestRingSequence(t *testing.T) {
 		r.Add(id)
 	}
 	for _, k := range ringKeys(100) {
-		owner, _ := r.Owner(k)
 		seq := r.Sequence(k)
 		if len(seq) != len(members) {
 			t.Fatalf("sequence for %s has %d members, want %d", k, len(seq), len(members))
-		}
-		if seq[0] != owner {
-			t.Fatalf("sequence for %s starts at %s, Owner says %s", k, seq[0], owner)
 		}
 		seen := make(map[string]bool)
 		for _, id := range seq {
@@ -143,9 +148,6 @@ func TestRingSequence(t *testing.T) {
 // TestRingEdgeCases: empty ring, single member, double add/remove.
 func TestRingEdgeCases(t *testing.T) {
 	r := NewRing(0)
-	if _, ok := r.Owner("x"); ok {
-		t.Error("empty ring claims an owner")
-	}
 	if seq := r.Sequence("x"); seq != nil {
 		t.Errorf("empty ring yields a sequence: %v", seq)
 	}
@@ -155,7 +157,7 @@ func TestRingEdgeCases(t *testing.T) {
 	if got := r.Len(); got != 1 {
 		t.Fatalf("double add gives %d members", got)
 	}
-	if id, ok := r.Owner("anything"); !ok || id != "solo" {
+	if id := home(r, "anything"); id != "solo" {
 		t.Fatalf("single-member ring routed to %q", id)
 	}
 	r.Remove("ghost") // no-op
@@ -177,12 +179,12 @@ func TestRingStableAcrossRejoin(t *testing.T) {
 	keys := ringKeys(2000)
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
-		before[k], _ = r.Owner(k)
+		before[k] = home(r, k)
 	}
 	r.Remove("replica-1")
 	r.Add("replica-1")
 	for _, k := range keys {
-		if after, _ := r.Owner(k); after != before[k] {
+		if after := home(r, k); after != before[k] {
 			t.Fatalf("key %s moved %s → %s across a leave/rejoin", k, before[k], after)
 		}
 	}

@@ -56,23 +56,3 @@ func Combinations(items []int, k int, fn func(subset []int) bool) {
 		return fn(buf)
 	})
 }
-
-// CountCombinations returns C(n, k), saturating at a large bound to avoid
-// overflow for the sizes that appear in failure analysis.
-func CountCombinations(n, k int) int {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	const saturate = 1 << 40
-	result := 1
-	for i := 0; i < k; i++ {
-		result = result * (n - i) / (i + 1)
-		if result > saturate {
-			return saturate
-		}
-	}
-	return result
-}

@@ -62,30 +62,15 @@ func TestCombinationsCountsMatch(t *testing.T) {
 		for i := range items {
 			items[i] = i
 		}
+		want := 1 // C(n, 0)
 		for k := 0; k <= n; k++ {
+			if k > 0 {
+				want = want * (n - k + 1) / k
+			}
 			got := len(collectCombinations(items, k))
-			want := CountCombinations(n, k)
 			if got != want {
 				t.Fatalf("C(%d,%d): enumerated %d, computed %d", n, k, got, want)
 			}
 		}
-	}
-}
-
-func TestCountCombinations(t *testing.T) {
-	cases := []struct{ n, k, want int }{
-		{5, 2, 10}, {10, 3, 120}, {4, 0, 1}, {4, 4, 1}, {3, 5, 0}, {6, -1, 0},
-		{15, 7, 6435},
-	}
-	for _, c := range cases {
-		if got := CountCombinations(c.n, c.k); got != c.want {
-			t.Errorf("C(%d,%d) = %d, want %d", c.n, c.k, got, c.want)
-		}
-	}
-}
-
-func TestCountCombinationsSaturates(t *testing.T) {
-	if got := CountCombinations(100, 50); got != 1<<40 {
-		t.Fatalf("expected saturation, got %d", got)
 	}
 }

@@ -266,8 +266,6 @@ func (f *PathFinder) popItem() pqItem {
 
 // dijkstra runs the constrained shortest-path search under the current ban
 // set and returns the path in f.pathBuf (borrowed until the next search).
-// The algorithm — visit order, tie-breaking, reconstruction — mirrors the
-// original Graph.shortestPathConstrained exactly.
 func (f *PathFinder) dijkstra(s, d int) (Path, error) {
 	n := f.n
 	if s < 0 || s >= n || d < 0 || d >= n {

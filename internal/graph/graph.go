@@ -323,31 +323,6 @@ func (g *Graph) Connected(s, d int) bool {
 	return false
 }
 
-// ComponentOf returns the IDs of the connected component containing id,
-// sorted ascending.
-func (g *Graph) ComponentOf(id int) []int {
-	if id < 0 || id >= len(g.adj) {
-		return nil
-	}
-	seen := make([]bool, len(g.adj))
-	queue := []int{id}
-	seen[id] = true
-	comp := []int{id}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for n := range g.adj[cur] {
-			if !seen[n] {
-				seen[n] = true
-				comp = append(comp, n)
-				queue = append(queue, n)
-			}
-		}
-	}
-	sort.Ints(comp)
-	return comp
-}
-
 // HopDistances returns BFS hop counts from src to every vertex; unreachable
 // vertices get -1.
 func (g *Graph) HopDistances(src int) []int {

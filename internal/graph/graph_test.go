@@ -209,14 +209,9 @@ func TestConnectedAndComponents(t *testing.T) {
 	if !g.Connected(3, 3) {
 		t.Fatal("a vertex is connected to itself")
 	}
-	comp := g.ComponentOf(1)
-	want := []int{0, 1, 2}
-	if len(comp) != len(want) {
-		t.Fatalf("ComponentOf(1) = %v, want %v", comp, want)
-	}
-	for i := range want {
-		if comp[i] != want[i] {
-			t.Fatalf("ComponentOf(1) = %v, want %v", comp, want)
+	for v := 0; v < 6; v++ {
+		if got, want := g.Connected(1, v), v <= 2; got != want {
+			t.Fatalf("Connected(1, %d) = %v, want %v", v, got, want)
 		}
 	}
 }

@@ -102,34 +102,14 @@ func (p Path) Clone() Path {
 	return c
 }
 
-// pathConstraints restrict the vertices and edges Dijkstra may use. Both
-// maps may be nil.
-type pathConstraints struct {
-	bannedNodes map[int]struct{}
-	bannedEdges map[Edge]struct{}
-}
-
 // ShortestPath returns the minimum-length path from s to d using edge
 // lengths as weights (ties broken deterministically by vertex ID). It
 // returns ErrNoPath when d is unreachable. The result is freshly allocated;
 // hot paths should hold a PathFinder instead.
 func (g *Graph) ShortestPath(s, d int) (Path, error) {
-	return g.shortestPathConstrained(s, d, pathConstraints{})
-}
-
-func (g *Graph) shortestPathConstrained(s, d int, con pathConstraints) (Path, error) {
 	f := AcquireFinder(g)
 	defer ReleaseFinder(f)
-	f.clearConstraints()
-	for v := range con.bannedNodes {
-		if v >= 0 && v < f.n {
-			f.banNode(v)
-		}
-	}
-	for e := range con.bannedEdges {
-		f.banEdge(e)
-	}
-	p, err := f.dijkstra(s, d)
+	p, err := f.ShortestPath(s, d)
 	if err != nil {
 		return nil, err
 	}

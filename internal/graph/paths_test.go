@@ -77,8 +77,11 @@ func TestShortestPathConstrainedBans(t *testing.T) {
 	mustAdd(t, g, 0, 2, 1)
 	mustAdd(t, g, 2, 3, 1)
 
-	con := pathConstraints{bannedNodes: map[int]struct{}{1: {}}}
-	p, err := g.shortestPathConstrained(0, 3, con)
+	f := NewPathFinder()
+	f.Reset(g)
+	f.clearConstraints()
+	f.banNode(1)
+	p, err := f.dijkstra(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +89,9 @@ func TestShortestPathConstrainedBans(t *testing.T) {
 		t.Fatalf("path = %v, want [0 2 3]", p)
 	}
 
-	con = pathConstraints{bannedEdges: map[Edge]struct{}{{U: 0, V: 2}: {}}}
-	p, err = g.shortestPathConstrained(0, 3, con)
+	f.clearConstraints()
+	f.banEdge(Edge{U: 0, V: 2})
+	p, err = f.dijkstra(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +99,10 @@ func TestShortestPathConstrainedBans(t *testing.T) {
 		t.Fatalf("path = %v, want [0 1 3]", p)
 	}
 
-	con = pathConstraints{bannedNodes: map[int]struct{}{1: {}, 2: {}}}
-	if _, err = g.shortestPathConstrained(0, 3, con); !errors.Is(err, ErrNoPath) {
+	f.clearConstraints()
+	f.banNode(1)
+	f.banNode(2)
+	if _, err = f.dijkstra(0, 3); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("err = %v, want ErrNoPath", err)
 	}
 }

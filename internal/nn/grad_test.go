@@ -60,7 +60,9 @@ func TestDenseGradientMatchesFiniteDifference(t *testing.T) {
 	ZeroGrads(layer.Params())
 	y := layer.Forward(x)
 	dY := y.Clone()
-	dY.ScaleInPlace(2)
+	for i := range dY.Data {
+		dY.Data[i] *= 2
+	}
 	layer.Backward(dY)
 	assertGradsClose(t, layer.Params(), numeric, 1e-5)
 }
@@ -120,7 +122,9 @@ func TestDenseInputGradientMatchesFiniteDifference(t *testing.T) {
 	ZeroGrads(layer.Params())
 	y := layer.Forward(x)
 	dY := y.Clone()
-	dY.ScaleInPlace(2)
+	for i := range dY.Data {
+		dY.Data[i] *= 2
+	}
 	dX := layer.Backward(dY)
 	for j := range numeric {
 		if math.Abs(dX.Data[j]-numeric[j]) > 1e-5 {

@@ -61,13 +61,6 @@ func shapeEqual(op string, a, b *Matrix) {
 	}
 }
 
-// ScaleInPlace multiplies all elements by s.
-func (m *Matrix) ScaleInPlace(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
 // EnsureShape resizes m to rows×cols, reusing the existing backing array
 // when it has enough capacity. Element values are unspecified afterwards —
 // callers that need zeros must Zero() (the Into kernels do it themselves).

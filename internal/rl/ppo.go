@@ -239,18 +239,3 @@ func (p *PPO) Update(ac ActorCritic, buf *Buffer) (UpdateStats, error) {
 	}
 	return stats, nil
 }
-
-// RewardScaler maps raw rewards into a small range by dividing by Scale
-// (the reward scaling factor of Table II, 10^3), keeping gradients away
-// from saturation (§IV-C "Reward Design").
-type RewardScaler struct {
-	Scale float64
-}
-
-// Apply scales a raw reward.
-func (r RewardScaler) Apply(raw float64) float64 {
-	if r.Scale == 0 {
-		return raw
-	}
-	return raw / r.Scale
-}

@@ -213,17 +213,6 @@ func TestPPOUpdateOnEmptyBufferFails(t *testing.T) {
 	}
 }
 
-func TestRewardScaler(t *testing.T) {
-	s := RewardScaler{Scale: 1000}
-	if got := s.Apply(-500); got != -0.5 {
-		t.Fatalf("Apply = %v, want -0.5", got)
-	}
-	zero := RewardScaler{}
-	if got := zero.Apply(-3); got != -3 {
-		t.Fatalf("zero scaler should pass through, got %v", got)
-	}
-}
-
 func TestPPOClipBoundsRatioInfluence(t *testing.T) {
 	// With a strongly off-policy batch (logp_old very high), the clipped
 	// objective must not blow up: the policy loss stays finite and bounded.

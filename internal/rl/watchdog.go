@@ -60,11 +60,6 @@ func (p *PPO) ImportState(ac ActorCritic, st PPOState) error {
 	return nil
 }
 
-// LearningRates returns the current (possibly watchdog-halved) rates.
-func (p *PPO) LearningRates() (actor, critic float64) {
-	return p.actorOpt.LR, p.criticOpt.LR
-}
-
 // UpdateWithRecovery runs Update under a divergence watchdog: if the update
 // leaves a NaN/Inf in the losses, the KL estimate or any network weight, or
 // panics inside the numerics (a symptom of the same corruption),

@@ -75,8 +75,8 @@ func TestWatchdogRecoversFromTransientNaN(t *testing.T) {
 	if info.ActorLR != 0.005 || info.CriticLR != 0.01 {
 		t.Fatalf("learning rates not halved once: actor %v critic %v", info.ActorLR, info.CriticLR)
 	}
-	if a, c := ppo.LearningRates(); a != info.ActorLR || c != info.CriticLR {
-		t.Fatalf("PPO learning rates %v/%v disagree with RecoveryInfo %v/%v", a, c, info.ActorLR, info.CriticLR)
+	if st := ppo.ExportState(); st.ActorLR != info.ActorLR || st.CriticLR != info.CriticLR {
+		t.Fatalf("PPO learning rates %v/%v disagree with RecoveryInfo %v/%v", st.ActorLR, st.CriticLR, info.ActorLR, info.CriticLR)
 	}
 	if !statsFinite(stats) {
 		t.Fatalf("recovered update produced non-finite stats: %+v", stats)
@@ -129,8 +129,8 @@ func TestWatchdogZeroRetriesStillRollsBack(t *testing.T) {
 		t.Fatal("weights not finite after rollback")
 	}
 	// Without a retry there is no halving either.
-	if a, c := ppo.LearningRates(); a != 0.01 || c != 0.02 {
-		t.Fatalf("learning rates changed without a retry: %v/%v", a, c)
+	if st := ppo.ExportState(); st.ActorLR != 0.01 || st.CriticLR != 0.02 {
+		t.Fatalf("learning rates changed without a retry: %v/%v", st.ActorLR, st.CriticLR)
 	}
 }
 
@@ -182,9 +182,6 @@ func TestPPOStateRoundTrip(t *testing.T) {
 	}
 	if got := fresh.ExportState(); !reflect.DeepEqual(got, st) {
 		t.Fatal("state round-trip not identical")
-	}
-	if a, c := fresh.LearningRates(); a != st.ActorLR || c != st.CriticLR {
-		t.Fatalf("imported learning rates %v/%v, want %v/%v", a, c, st.ActorLR, st.CriticLR)
 	}
 }
 

@@ -956,11 +956,6 @@ func (m *Manager) train(ctx context.Context, j *job) (candidate, error) {
 	return c, nil
 }
 
-// zooRolloutStreams is how many independent greedy attempts a zoo rollout
-// runs per job — enough to ride out one unlucky construction order, cheap
-// next to a single training epoch.
-const zooRolloutStreams = 4
-
 // tryZoo is the zoo attempt: the nearest geometry-compatible policy by
 // feature distance is rolled out greedily, inference only, and its plan
 // goes through the accept gate with the certification audit mandatory (a
@@ -988,10 +983,7 @@ func (m *Manager) tryZoo(ctx context.Context, j *job) *Result {
 	if m.verdicts != nil {
 		cfg.SharedAnalyzerCache = m.verdicts
 	}
-	sol, stats, err := zoo.Rollout(ctx, j.prob, cfg, match.Weights, zoo.RolloutOptions{
-		Streams: zooRolloutStreams,
-		Workers: cfg.Workers,
-	})
+	sol, stats, err := zoo.Rollout(ctx, j.prob, cfg, match.Weights, zoo.RolloutOptions{})
 	m.met.zooSteps.Add(float64(stats.EnvSteps))
 	var res *Result
 	switch {

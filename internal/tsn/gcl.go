@@ -75,17 +75,3 @@ func (g GateControlList) String() string {
 	}
 	return b.String()
 }
-
-// Utilization returns the fraction of (link, slot) capacity reserved by the
-// GCL, a rough load metric over the links it mentions.
-func (g GateControlList) Utilization(net Network, fs FlowSet) float64 {
-	if len(g) == 0 {
-		return 0
-	}
-	hyper := net.Hyperperiod(fs)
-	var used int
-	for _, entries := range g {
-		used += len(entries)
-	}
-	return float64(used) / float64(len(g)*hyper)
-}

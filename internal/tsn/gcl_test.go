@@ -29,9 +29,6 @@ func TestBuildGCL(t *testing.T) {
 	if !strings.Contains(out, "3->1:") {
 		t.Fatalf("GCL render missing link: %q", out)
 	}
-	if u := gcl.Utilization(DefaultNetwork(), fs); u <= 0 || u > 1 {
-		t.Fatalf("Utilization = %v, want in (0,1]", u)
-	}
 }
 
 func TestBuildGCLHarmonicRepetitions(t *testing.T) {
@@ -61,11 +58,5 @@ func TestBuildGCLUnknownFlow(t *testing.T) {
 	st := &State{Plans: []FlowPlan{{FlowID: 99}}}
 	if _, err := BuildGCL(DefaultNetwork(), nil, st); err == nil {
 		t.Fatal("unknown flow accepted")
-	}
-}
-
-func TestGCLUtilizationEmpty(t *testing.T) {
-	if u := (GateControlList{}).Utilization(DefaultNetwork(), nil); u != 0 {
-		t.Fatalf("empty utilization = %v, want 0", u)
 	}
 }

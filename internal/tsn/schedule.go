@@ -52,18 +52,6 @@ func (s *State) PlanFor(flowID, dst int) (FlowPlan, bool) {
 	return FlowPlan{}, false
 }
 
-// UsesEdge reports whether any plan traverses the undirected edge (u, v).
-func (s *State) UsesEdge(u, v int) bool {
-	for _, p := range s.Plans {
-		for i := 0; i+1 < len(p.Path); i++ {
-			if (p.Path[i] == u && p.Path[i+1] == v) || (p.Path[i] == v && p.Path[i+1] == u) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // slotTable tracks per-directed-link slot occupancy over the hyperperiod.
 type slotTable struct {
 	hyper int

@@ -42,28 +42,6 @@ func nodeLabel(v graph.Vertex) string {
 	return fmt.Sprintf("%s%d", v.Kind, v.ID)
 }
 
-// WriteGraph renders a bare graph (no ASIL information).
-func WriteGraph(w io.Writer, g *graph.Graph, title string) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %q {\n", sanitize(title))
-	b.WriteString("  layout=neato;\n  overlap=false;\n  splines=true;\n")
-	for i := 0; i < g.NumVertices(); i++ {
-		v := g.MustVertex(i)
-		shape := "circle"
-		if v.Kind == graph.KindEndStation {
-			shape = "box"
-		}
-		fmt.Fprintf(&b, "  %s [label=%q, shape=%s];\n", nodeID(v), nodeLabel(v), shape)
-	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&b, "  %s -- %s [label=\"%.1f\"];\n",
-			nodeID(g.MustVertex(e.U)), nodeID(g.MustVertex(e.V)), e.Length)
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // WriteSolution renders a planning solution: selected switches and links
 // carry their ASIL as color and label; unselected optional switches are
 // drawn dashed and grey.

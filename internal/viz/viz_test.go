@@ -51,27 +51,18 @@ func vizProblem(t testing.TB) (*core.Problem, *core.Solution) {
 	return prob, &core.Solution{Topology: state.Topo, Assignment: state.Assign}
 }
 
-func TestWriteGraph(t *testing.T) {
-	prob, _ := vizProblem(t)
+func TestWriteSolution(t *testing.T) {
+	prob, sol := vizProblem(t)
 	var buf bytes.Buffer
-	if err := WriteGraph(&buf, prob.Connections, "candidate \"graph\""); err != nil {
+	if err := WriteSolution(&buf, prob, sol, "plan \"v1\""); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"graph \"candidate 'graph'\"", "n0 [label=\"cam\", shape=box]", "n2 [label=\"swA\", shape=circle]", "n0 -- n2"} {
+	for _, want := range []string{"graph \"plan 'v1'\"", "n0 [label=\"cam\", shape=box"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
 	}
-}
-
-func TestWriteSolution(t *testing.T) {
-	prob, sol := vizProblem(t)
-	var buf bytes.Buffer
-	if err := WriteSolution(&buf, prob, sol, "plan"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
 	// Selected switch carries its ASIL; unselected one is dashed grey.
 	if !strings.Contains(out, "ASIL-A") {
 		t.Fatalf("selected switch missing ASIL label:\n%s", out)

@@ -4,23 +4,20 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/failure"
 )
+
+// defaultStreams is the rollout width when RolloutOptions.Streams is zero:
+// enough attempts to ride out one unlucky construction order, cheap next to
+// a single training epoch.
+const defaultStreams = 4
 
 // RolloutOptions tunes the inference-only rollout.
 type RolloutOptions struct {
 	// Streams is the number of independent greedy construction attempts,
-	// each from its own deterministically seeded environment (default 1).
-	// More streams buy robustness against a single unlucky construction
-	// order at pure-inference cost.
+	// each from its own deterministically seeded environment (default 4).
 	Streams int
-	// Workers bounds rollout concurrency; streams are partitioned
-	// round-robin, so the per-stream trajectory — and hence the returned
-	// plan — is bit-identical for every worker count (default 1).
-	Workers int
 }
 
 // RolloutStats reports what a rollout spent and found.
@@ -35,7 +32,6 @@ type RolloutStats struct {
 
 // stream is one greedy construction attempt.
 type stream struct {
-	idx   int
 	env   *core.Env
 	steps int
 	done  bool
@@ -51,78 +47,36 @@ type stream struct {
 // cfg.Seed + s*104729 + 2 (the planner's worker-env schedule), actions are
 // argmax with lowest-index tie-break, and the global winner is the lowest
 // cost with the lowest stream index as tie-break — so the returned plan is
-// bit-identical across worker counts, whatever streams share a batched
-// forward.
+// bit-identical to running each stream alone.
 func Rollout(ctx context.Context, prob *core.Problem, cfg core.Config, weights [][]float64, opt RolloutOptions) (*core.Solution, RolloutStats, error) {
 	if opt.Streams <= 0 {
-		opt.Streams = 1
+		opt.Streams = defaultStreams
 	}
-	if opt.Workers <= 0 {
-		opt.Workers = 1
-	}
-	if opt.Workers > opt.Streams {
-		opt.Workers = opt.Streams
-	}
-
-	// One shared verdict cache across streams: hits return exactly what
-	// the simulation would recompute, so sharing never changes a
-	// trajectory (the same contract the planner relies on).
-	cache := cfg.SharedAnalyzerCache
-	if cache == nil && cfg.AnalyzerCacheSize > 0 {
-		cache = failure.NewCache(cfg.AnalyzerCacheSize)
-	}
-
+	// One verdict cache across streams: sharing never changes a trajectory.
+	cache := cfg.VerdictCache()
 	streams := make([]*stream, opt.Streams)
 	for s := range streams {
 		env, err := core.NewEnvWithCache(prob, cfg, cfg.Seed+int64(s)*104729+2, cache)
 		if err != nil {
 			return nil, RolloutStats{}, fmt.Errorf("zoo: rollout env: %w", err)
 		}
-		streams[s] = &stream{idx: s, env: env}
+		streams[s] = &stream{env: env}
 	}
 
-	// Per-worker network replicas: the Nets forward scratch is not
-	// goroutine-safe, and each replica imports the same weights, so every
-	// worker computes identical logits for identical observations.
-	makeNets := func() (*core.Nets, error) {
-		soag, err := core.NewSOAG(prob, cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		enc := core.NewEncoderWithOptions(prob, cfg.K, cfg.PerFlowEncoding)
-		nets, err := core.NewNets(rand.New(rand.NewSource(cfg.Seed)), enc, soag.ActionSpaceSize(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := nets.ImportWeights(weights); err != nil {
-			return nil, fmt.Errorf("geometry mismatch: %w", err)
-		}
-		return nets, nil
+	soag, err := core.NewSOAG(prob, cfg.K)
+	if err != nil {
+		return nil, RolloutStats{}, fmt.Errorf("zoo: rollout nets: %w", err)
 	}
-
-	errs := make([]error, opt.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
-		var owned []*stream
-		for s := w; s < opt.Streams; s += opt.Workers {
-			owned = append(owned, streams[s])
-		}
-		wg.Add(1)
-		go func(w int, owned []*stream) {
-			defer wg.Done()
-			nets, err := makeNets()
-			if err != nil {
-				errs[w] = fmt.Errorf("zoo: rollout nets: %w", err)
-				return
-			}
-			errs[w] = runStreams(ctx, nets, owned, cfg.MaxStep)
-		}(w, owned)
+	enc := core.NewEncoderWithOptions(prob, cfg.K, cfg.PerFlowEncoding)
+	nets, err := core.NewNets(rand.New(rand.NewSource(cfg.Seed)), enc, soag.ActionSpaceSize(), cfg)
+	if err != nil {
+		return nil, RolloutStats{}, fmt.Errorf("zoo: rollout nets: %w", err)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, RolloutStats{}, err
-		}
+	if err := nets.ImportWeights(weights); err != nil {
+		return nil, RolloutStats{}, fmt.Errorf("zoo: rollout nets: geometry mismatch: %w", err)
+	}
+	if err := runStreams(ctx, nets, streams, cfg.MaxStep); err != nil {
+		return nil, RolloutStats{}, err
 	}
 
 	stats := RolloutStats{Streams: opt.Streams}
@@ -143,7 +97,7 @@ func Rollout(ctx context.Context, prob *core.Problem, cfg core.Config, weights [
 	return best, stats, nil
 }
 
-// runStreams drives one worker's streams to completion. The live streams
+// runStreams drives the streams to completion. The live streams
 // advance in lockstep through one ForwardPolicyValueBatch per step; row i
 // of the batch is bit-identical to a single forward of obs[i], so batching
 // never changes a stream's trajectory.

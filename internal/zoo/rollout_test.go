@@ -25,40 +25,68 @@ func solutionBytes(t testing.TB, sol *core.Solution) []byte {
 	return buf.Bytes()
 }
 
-// TestRolloutDeterministicAcrossWorkersAndBatching is the differential
-// suite behind the rollout's contract: the same policy and spec must
-// produce a bit-identical plan whatever the worker count — with 4 streams,
-// 1, 2 and 4 workers batch 4, 2 and 1 streams per ForwardPolicyValueBatch.
-func TestRolloutDeterministicAcrossWorkersAndBatching(t *testing.T) {
+// rolloutNets builds the policy network a rollout runs, with weights
+// imported.
+func rolloutNets(t *testing.T, prob *core.Problem, cfg core.Config, weights [][]float64) *core.Nets {
+	t.Helper()
+	soag, err := core.NewSOAG(prob, cfg.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := core.NewEncoderWithOptions(prob, cfg.K, cfg.PerFlowEncoding)
+	nets, err := core.NewNets(rand.New(rand.NewSource(cfg.Seed)), enc, soag.ActionSpaceSize(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nets.ImportWeights(weights); err != nil {
+		t.Fatal(err)
+	}
+	return nets
+}
+
+// TestRolloutDeterministicAcrossBatching is the differential check behind
+// the rollout's contract: 4 streams stepped in one batched lockstep must
+// return the plan and stats of the same 4 streams each run alone, one
+// observation per forward.
+func TestRolloutDeterministicAcrossBatching(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyCfg()
 	weights := trainedWeights(t)
 	const streams = 4
 
-	var refSol []byte
-	var refStats RolloutStats
-	for i, workers := range []int{1, 2, 4} {
-		sol, stats, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{
-			Streams: streams,
-			Workers: workers,
-		})
+	sol, stats, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{Streams: streams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol == nil {
+		t.Fatal("rollout found no plan")
+	}
+
+	nets := rolloutNets(t, prob, cfg, weights)
+	alone := RolloutStats{Streams: streams}
+	var best *core.Solution
+	for i := 0; i < streams; i++ {
+		env, err := core.NewEnvWithCache(prob, cfg, cfg.Seed+int64(i)*104729+2, nil)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if sol == nil {
-			t.Fatalf("workers=%d: rollout found no plan", workers)
+		s := &stream{env: env}
+		if err := runStreams(context.Background(), nets, []*stream{s}, cfg.MaxStep); err != nil {
+			t.Fatal(err)
 		}
-		got := solutionBytes(t, sol)
-		if i == 0 {
-			refSol, refStats = got, stats
-			continue
+		alone.EnvSteps += s.steps
+		if b := env.Best(); b != nil {
+			alone.Solved++
+			if best == nil || b.Cost < best.Cost {
+				best = b
+			}
 		}
-		if !bytes.Equal(got, refSol) {
-			t.Errorf("workers=%d: plan differs from the workers=1 reference", workers)
-		}
-		if stats != refStats {
-			t.Errorf("workers=%d: stats %+v, reference %+v", workers, stats, refStats)
-		}
+	}
+	if !bytes.Equal(solutionBytes(t, sol), solutionBytes(t, best)) {
+		t.Error("batched plan differs from the streams run alone")
+	}
+	if stats != alone {
+		t.Errorf("batched stats %+v, streams alone %+v", stats, alone)
 	}
 }
 
@@ -154,18 +182,7 @@ func TestRolloutStreamSeedsFollowPlannerSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	soag, err := core.NewSOAG(prob, cfg.K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := core.NewEncoderWithOptions(prob, cfg.K, cfg.PerFlowEncoding)
-	nets, err := core.NewNets(rand.New(rand.NewSource(cfg.Seed)), enc, soag.ActionSpaceSize(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nets.ImportWeights(weights); err != nil {
-		t.Fatal(err)
-	}
+	nets := rolloutNets(t, prob, cfg, weights)
 	s := &stream{env: env}
 	if err := runStreams(context.Background(), nets, []*stream{s}, cfg.MaxStep); err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func TestMediumBudgetTrend(t *testing.T) {
 		for c := 0; c < 3; c++ {
 			flows := scen.RandomFlows(10, int64(1+10*1000+c))
 			prob := scen.Problem(flows, &nbf.StatelessRecovery{MaxAlternatives: 3}, 1e-6)
-			res, err := eval.RunCase(prob, nil, cfg, cfg, []eval.Approach{eval.ApproachNPTSN})
+			res, err := eval.RunCase(prob, nil, cfg, []eval.Approach{eval.ApproachNPTSN})
 			if err != nil {
 				t.Fatal(err)
 			}
