@@ -834,7 +834,7 @@ func BenchmarkZooInference(b *testing.B) {
 	b.ResetTimer()
 	var steps float64
 	for i := 0; i < b.N; i++ {
-		sol, stats, err := zoo.Rollout(ctx, derived, microCfg(1), weights, zoo.RolloutOptions{Streams: 4})
+		sol, stats, err := zoo.Rollout(ctx, derived, microCfg(1), weights)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/nbf"
@@ -307,9 +308,17 @@ func TestWeightCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPlannerWarmStart carries a finished run into a new one both ways a
+// program can: its plan seeds a warm start, which returns a plan no dearer
+// without training, and its last checkpoint resumes under a longer horizon
+// and trains only the added epochs. A checkpoint whose weights do not fit
+// the networks is rejected.
 func TestPlannerWarmStart(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyConfig()
+	var last *Checkpoint
+	cfg.CheckpointEvery = 1
+	cfg.CheckpointFunc = func(ck *Checkpoint) error { last = ck; return nil }
 	pl, err := NewPlanner(prob, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -318,11 +327,12 @@ func TestPlannerWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.FinalWeights == nil {
-		t.Fatal("report missing final weights")
+	if r1.Best == nil || last == nil || last.Epoch != cfg.MaxEpoch {
+		t.Fatalf("cold run: best %v, last checkpoint %+v", r1.Best, last)
 	}
-	warm := cfg
-	warm.InitialWeights = r1.FinalWeights
+
+	warm := tinyConfig()
+	warm.WarmStart = r1.Best
 	pl2, err := NewPlanner(prob, warm)
 	if err != nil {
 		t.Fatal(err)
@@ -331,17 +341,33 @@ func TestPlannerWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r2.Epochs) != cfg.MaxEpoch {
-		t.Fatal("warm-started run did not train")
+	if len(r2.Epochs) != 0 || r2.Best == nil || r2.Best.Cost > r1.Best.Cost {
+		t.Fatalf("warm start from the cold plan (cost %v): %d epochs, best %v", r1.Best.Cost, len(r2.Epochs), r2.Best)
 	}
-	// A mismatched snapshot must be rejected.
-	bad := cfg
-	bad.InitialWeights = [][]float64{{1, 2, 3}}
-	pl3, err := NewPlanner(prob, bad)
+
+	more := tinyConfig()
+	more.MaxEpoch = cfg.MaxEpoch + 1
+	more.Resume = last
+	pl3, err := NewPlanner(prob, more)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl3.Plan(); err == nil {
-		t.Fatal("mismatched warm start accepted")
+	r3, err := pl3.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r3.Epochs) != more.MaxEpoch || !reflect.DeepEqual(r3.Epochs[:cfg.MaxEpoch], r1.Epochs) {
+		t.Fatalf("resumed run: %d epochs, want %d beginning with the cold run's", len(r3.Epochs), more.MaxEpoch)
+	}
+
+	bad := *last
+	bad.Weights = [][]float64{{1, 2, 3}}
+	more.Resume = &bad
+	pl4, err := NewPlanner(prob, more)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl4.Plan(); err == nil {
+		t.Fatal("checkpoint with mismatched weights accepted")
 	}
 }

@@ -78,9 +78,6 @@ type Config struct {
 	// that enumerates shortest paths until K valid ones are found instead
 	// of masking invalid candidates; for ablation only.
 	ExhaustivePathGeneration bool
-	// InitialWeights warm-starts training from a prior run's
-	// Report.FinalWeights (the network architecture must match).
-	InitialWeights [][]float64
 	// WarmStart seeds every environment reset with a prior solution's
 	// topology and ASIL assignment, pruned to what the current problem
 	// still admits (allocations on damaged links or foreign vertices are
@@ -122,7 +119,6 @@ type Config struct {
 	// Resume restarts training from a checkpoint captured by an earlier
 	// run with an identical configuration, problem geometry and seed; the
 	// resumed run reproduces the uninterrupted run's epochs exactly.
-	// Mutually exclusive with InitialWeights.
 	Resume *Checkpoint
 	// Progress, when non-nil, is called synchronously from the training
 	// loop after each completed epoch with that epoch's statistics, in
@@ -235,9 +231,6 @@ func (c Config) Validate() error {
 	}
 	if c.CheckpointFunc != nil && c.CheckpointEvery <= 0 {
 		return fmt.Errorf("config: checkpointing enabled but interval is %d (must be positive)", c.CheckpointEvery)
-	}
-	if c.Resume != nil && c.InitialWeights != nil {
-		return fmt.Errorf("config: Resume and InitialWeights are mutually exclusive")
 	}
 	return c.PPOConfig().Validate()
 }

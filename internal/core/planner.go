@@ -89,9 +89,9 @@ type Report struct {
 	Epochs []EpochStats
 	// TotalNBFCalls counts recovery simulations across all workers.
 	TotalNBFCalls int
-	// FinalWeights snapshots the trained policy/value networks; feed them
-	// into Config.InitialWeights to continue training or to plan related
-	// problem instances without starting cold.
+	// FinalWeights snapshots the trained policy/value networks: what the
+	// policy zoo stores to plan related problem instances by inference
+	// alone.
 	FinalWeights [][]float64
 	// Interrupted is true when training stopped early because the context
 	// was cancelled (deadline or signal). Epochs then holds only the
@@ -288,11 +288,6 @@ func (p *Planner) PlanContext(ctx context.Context) (*Report, error) {
 	global, err := p.buildNets(rand.New(rand.NewSource(p.cfg.Seed)))
 	if err != nil {
 		return nil, err
-	}
-	if p.cfg.InitialWeights != nil {
-		if err := global.ImportWeights(p.cfg.InitialWeights); err != nil {
-			return nil, fmt.Errorf("planner: warm start: %w", err)
-		}
 	}
 	ppo, err := rl.NewPPO(p.cfg.PPOConfig())
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -200,5 +201,64 @@ func TestPPOUpdateAllocFree(t *testing.T) {
 	update() // size the batch buffers
 	if n := testing.AllocsPerRun(5, update); n != 0 {
 		t.Errorf("PPO update: %v allocs/op in steady state, want 0", n)
+	}
+}
+
+// TestConcurrentPPOUpdatesMatchAlone runs two Table II updates at once, on
+// two goroutines, for two seeds: while the products of one split across
+// both cores the other finds the helper busy and runs its own serially,
+// and they take turns. Each must leave the weights its update leaves when
+// it runs alone.
+func TestConcurrentPPOUpdatesMatchAlone(t *testing.T) {
+	seeds := []int64{3, 4}
+	type run struct {
+		nets *core.Nets
+		buf  *rl.Buffer
+		ppo  *rl.PPO
+	}
+	fixtures := func() []run {
+		runs := make([]run, len(seeds))
+		for i, s := range seeds {
+			cfg := core.DefaultConfig()
+			cfg.Seed = s
+			cfg.TrainPiIters, cfg.TrainVIters = 4, 4
+			runs[i].nets, runs[i].buf = orionUpdateFixture(t, cfg, 64)
+			ppo, err := rl.NewPPO(cfg.PPOConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i].ppo = ppo
+		}
+		return runs
+	}
+	update := func(r run) {
+		if _, err := r.ppo.Update(r.nets, r.buf); err != nil {
+			t.Error(err)
+		}
+	}
+
+	alone := fixtures()
+	for _, r := range alone {
+		update(r)
+	}
+	together := fixtures()
+	var wg sync.WaitGroup
+	for _, r := range together {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			update(r)
+		}()
+	}
+	wg.Wait()
+	for i, s := range seeds {
+		want, got := alone[i].nets.ExportWeights(), together[i].nets.ExportWeights()
+		for p := range want {
+			for j, v := range want[p] {
+				if got[p][j] != v {
+					t.Fatalf("seed %d tensor %d element %d: %v run concurrently, %v alone", s, p, j, got[p][j], v)
+				}
+			}
+		}
 	}
 }

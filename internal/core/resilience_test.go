@@ -267,10 +267,6 @@ func TestConfigValidateResilienceKnobs(t *testing.T) {
 			c.CheckpointEvery = 0
 			c.CheckpointFunc = func(*Checkpoint) error { return nil }
 		}},
-		{"resume with warm start", func(c *Config) {
-			c.Resume = &Checkpoint{}
-			c.InitialWeights = [][]float64{{1}}
-		}},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -106,7 +106,7 @@ func RunZooChurn(trace *scenarios.ChurnTrace, opt ZooChurnOptions) (*ZooChurnRes
 			c.Policy, c.Distance = m.Entry.Name, m.Distance
 			cfg := opt.Cfg
 			cfg.SharedAnalyzerCache = verdicts
-			sol, stats, err := zoo.Rollout(ctx, prob, cfg, m.Weights, zoo.RolloutOptions{})
+			sol, stats, err := zoo.Rollout(ctx, prob, cfg, m.Weights)
 			c.ZooEnvSteps = stats.EnvSteps
 			switch {
 			case err != nil || sol == nil:

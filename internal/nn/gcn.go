@@ -58,8 +58,7 @@ type GCNLayer struct {
 	acc []float64 // backward scratch: one row of (ŜH)ᵀ dZ
 	wT  []float64 // backward scratch: a tile of Wᵀ
 
-	batchY  Matrix    // activations of a whole batch, one n-row block each
-	blockSH []float64 // Ŝ H of one batch observation
+	batchY Matrix // activations of a whole batch, one n-row block each
 }
 
 // NewGCNLayer builds a GCN layer with Xavier-initialized weights.
@@ -153,21 +152,22 @@ func (s *sparseBlocks) appendBlock(m []float64) {
 	}
 }
 
-// mulInto computes dst (n×k) = block b × w (f×k), a row of entries per
-// output row: matMul on the dense block.
-func (s *sparseBlocks) mulInto(dst []float64, b int, w []float64, k int) {
+// mulInto computes dst (n×k) = block b × w, for w of f rows ldw apart
+// (k ≤ ldw columns), a row of entries per output row: matMul on the dense
+// block. Each element's sum is the same whichever columns of w it is
+// computed with.
+func (s *sparseBlocks) mulInto(dst []float64, b int, w []float64, k, ldw int) {
 	for r := 0; r < s.n; r++ {
 		e0, e1 := s.rOff[b*s.n+r], s.rOff[b*s.n+r+1]
-		rowSparse(dst[r*k:(r+1)*k], s.rVal[e0:e1], s.rIdx[e0:e1], w, k)
+		rowSparse(dst[r*k:(r+1)*k], s.rVal[e0:e1], s.rIdx[e0:e1], w, ldw)
 	}
 }
 
-// atAdd adds (block b)ᵀ × dZ (n×k) into dst (f×k), one row of the product
-// at a time through the scratch *acc: matMulATAdd on the dense block.
-func (s *sparseBlocks) atAdd(dst []float64, b int, dZ []float64, k int, acc *[]float64) {
-	*acc = ensureLen(*acc, k)
-	row := *acc
-	for c := 0; c < s.f; c++ {
+// atAdd adds rows [lo, hi) of (block b)ᵀ × dZ (n×k) into dst (f×k), one
+// row of the product at a time through the scratch row (k long):
+// atAddRows on the dense block.
+func (s *sparseBlocks) atAdd(dst []float64, b int, dZ []float64, k int, row []float64, lo, hi int) {
+	for c := lo; c < hi; c++ {
 		e0, e1 := s.cOff[b*s.f+c], s.cOff[b*s.f+c+1]
 		rowSparse(row, s.cVal[e0:e1], s.cIdx[e0:e1], dZ, k)
 		orow := dst[c*k : (c+1)*k][:len(row)]
@@ -186,18 +186,33 @@ func (s *sparseBlocks) atAdd(dst []float64, b int, dZ []float64, k int, acc *[]f
 // where the same batch is evaluated many times under changing weights.
 // Every row of every matmul is computed as in a single-observation pass,
 // and gradients add one observation's sum at a time in batch order, so a
-// batch pass reproduces the single-observation passes bit for bit.
+// batch pass reproduces the single-observation passes bit for bit. A large
+// batch splits each pass with the helper: by observation, or by the rows
+// of a weight gradient.
 type GCN struct {
 	layers []*GCNLayer
 
-	// batch state (SetBatch); the scratch slices hold one observation
-	batch       int          // observations in the batch
-	sx          sparseBlocks // per-observation Ŝ X, the first layer's input
-	sops        sparseBlocks // per-observation Ŝ, for the layers past the first
-	out         Matrix       // stacked features of a zero-layer GCN
-	forwarded   bool         // ForwardBatch ran since SetBatch or BackwardBatch
-	dZ, dZW, dH []float64    // one observation's backward intermediates
-	acc         []float64    // one row of a weight gradient
+	// batch state (SetBatch)
+	batch     int          // observations in the batch
+	work      int          // multiply-adds of one pass over the batch
+	sx        sparseBlocks // per-observation Ŝ X, the first layer's input
+	sops      sparseBlocks // per-observation Ŝ, for the layers past the first
+	out       Matrix       // stacked features of a zero-layer GCN
+	forwarded bool         // ForwardBatch ran since SetBatch or BackwardBatch
+
+	// backward stores, one n-row block per observation: layer i's σ′
+	// product in dZ[(top−i)%2], where layer i+1 left its input gradient
+	dZ    [2][]float64
+	parts [2]gcnPart // each part's scratch for one observation
+}
+
+// gcnPart is one part's scratch in a batch pass. A part rewrites its
+// slice headers as it goes; the padding keeps the two parts' headers off
+// a shared cache line.
+type gcnPart struct {
+	sh, dZW []float64 // Ŝ H, dZ Wᵀ
+	acc, wT []float64 // a row of a weight gradient, a tile of Wᵀ
+	_       [64]byte
 }
 
 // NewGCN builds `numLayers` GCN layers mapping the input feature dimension
@@ -282,18 +297,19 @@ func (g *GCN) SetBatch(ops, feats []*Matrix) {
 		return
 	}
 	// Two passes, so the store is allocated once at its exact size.
-	l := g.layers[0]
-	l.blockSH = ensureLen(l.blockSH, n*f)
+	sh := ensureLen(g.parts[0].sh, n*f)
+	g.parts[0].sh = sh
 	nnz := 0
 	for b, x := range feats {
-		matMul(l.blockSH, ops[b].Data, x.Data, n, f)
-		nnz += nonzeros(l.blockSH)
+		matMul(sh, ops[b].Data, x.Data, n, f)
+		nnz += nonzeros(sh)
 	}
 	g.sx.reset(n, f, nnz)
 	for b, x := range feats {
-		matMul(l.blockSH, ops[b].Data, x.Data, n, f)
-		g.sx.appendBlock(l.blockSH)
+		matMul(sh, ops[b].Data, x.Data, n, f)
+		g.sx.appendBlock(sh)
 	}
+	g.work = len(g.sx.rVal) * g.layers[0].Out
 	if len(g.layers) == 1 {
 		return
 	}
@@ -304,6 +320,9 @@ func (g *GCN) SetBatch(ops, feats []*Matrix) {
 	g.sops.reset(n, n, nnz)
 	for _, s := range ops {
 		g.sops.appendBlock(s.Data)
+	}
+	for _, l := range g.layers[1:] {
+		g.work += nnz*l.In + g.batch*n*l.In*l.Out
 	}
 }
 
@@ -331,36 +350,28 @@ func (g *GCN) ForwardBatch() *Matrix {
 	if len(g.layers) == 0 {
 		return &g.out
 	}
-	n := g.sx.n
 	for _, l := range g.layers {
-		l.batchY.EnsureShape(g.batch*n, l.Out)
+		l.batchY.EnsureShape(g.batch*g.sx.n, l.Out)
 	}
-	for b := 0; b < g.batch; b++ {
-		var h []float64
-		for i, l := range g.layers {
-			y := l.batchY.Data[b*n*l.Out : (b+1)*n*l.Out]
-			if i == 0 {
-				g.sx.mulInto(y, b, l.W.Data, l.Out)
-			} else {
-				l.blockSH = ensureLen(l.blockSH, n*l.In)
-				g.sops.mulInto(l.blockSH, b, h, l.In)
-				matMul(y, l.blockSH, l.W.Data, l.In, l.Out)
-			}
-			l.Act.apply(y, y)
-			h = y
-		}
-	}
+	g.split(gcnForward, 0)
 	return &g.layers[len(g.layers)-1].batchY
 }
 
 // BackwardBatch backpropagates embedding gradients dY (stacked like
-// ForwardBatch's result) and accumulates the weight gradients, one
-// observation at a time in batch order. It reads the activations the
-// last ForwardBatch stored; a layer's propagated input Ŝ H is recomputed
-// per observation, one sparse product, rather than stored. The input
-// features are constants, so no gradient is formed for them. Each
-// ForwardBatch serves one BackwardBatch: without one since the last
-// SetBatch or BackwardBatch, it panics.
+// ForwardBatch's result) and accumulates the weight gradients, adding one
+// observation's sum at a time in batch order. It reads the activations
+// the last ForwardBatch stored; a layer's propagated input Ŝ H is
+// recomputed with its weight gradient, one sparse product per observation,
+// rather than kept from the forward. The input features are constants, so
+// no gradient is formed for them. Each ForwardBatch serves one
+// BackwardBatch: without one since the last SetBatch or BackwardBatch, it
+// panics.
+//
+// It runs layer by layer, each pass over the whole batch: the top layer's
+// σ′ products; then per layer its weight gradient, and past the first
+// layer its input gradient Ŝ (dZ Wᵀ) with the next layer down's σ′
+// product. It keeps B·n·Out floats of σ′ products per layer, in two stores
+// that alternate between layers.
 func (g *GCN) BackwardBatch(dY *Matrix) {
 	if !g.forwarded {
 		panic("nn: gcn batch backward without a batch forward")
@@ -369,29 +380,129 @@ func (g *GCN) BackwardBatch(dY *Matrix) {
 	if len(g.layers) == 0 {
 		return
 	}
-	n, e := g.sx.n, g.layers[len(g.layers)-1].Out
-	if dY.Rows != g.batch*n || dY.Cols != e {
+	n, top := g.sx.n, len(g.layers)-1
+	if e := g.layers[top].Out; dY.Rows != g.batch*n || dY.Cols != e {
 		panic(fmt.Sprintf("nn: gcn batch backward of %dx%d, want %dx%d", dY.Rows, dY.Cols, g.batch*n, e))
 	}
-	for b := 0; b < g.batch; b++ {
-		d := dY.Data[b*n*e : (b+1)*n*e]
-		for i := len(g.layers) - 1; i >= 0; i-- {
-			l := g.layers[i]
-			g.dZ = ensureLen(g.dZ, n*l.Out)
-			l.Act.backward(g.dZ, d, l.batchY.Data[b*n*l.Out:(b+1)*n*l.Out])
-			if i == 0 {
-				g.sx.atAdd(l.gradW.Data, b, g.dZ, l.Out, &g.acc)
-				break
-			}
-			l.blockSH = ensureLen(l.blockSH, n*l.In)
-			g.sops.mulInto(l.blockSH, b, g.layers[i-1].batchY.Data[b*n*l.In:(b+1)*n*l.In], l.In)
-			matMulATAdd(l.gradW.Data, l.blockSH, g.dZ, l.In, l.Out, &g.acc)
-			g.dZW = ensureLen(g.dZW, n*l.In)
-			matMulBT(g.dZW, g.dZ, l.W.Data, l.Out, l.In, &l.wT)
-			g.dH = ensureLen(g.dH, n*l.In)
-			g.sops.mulInto(g.dH, b, g.dZW, l.In)
-			d = g.dH
+	var zw [2]int
+	for i, l := range g.layers {
+		zw[(top-i)%2] = max(zw[(top-i)%2], l.Out)
+	}
+	for k := range g.dZ {
+		g.dZ[k] = ensureLen(g.dZ[k], g.batch*n*zw[k])
+	}
+	l := g.layers[top]
+	l.Act.backward(g.dZ[0][:len(dY.Data)], dY.Data, l.batchY.Data)
+	for i := top; i > 0; i-- {
+		g.split(gcnGrad, i)
+		g.split(gcnUp, i)
+	}
+	g.split(gcnGrad, 0)
+}
+
+// gcnPass is one pass of a batch evaluation.
+type gcnPass int
+
+const (
+	gcnForward gcnPass = iota // per observation: every layer's activations
+	gcnGrad                   // per output row: a layer's weight gradient
+	gcnUp                     // per observation: a layer's input gradient, and the σ′ product below
+)
+
+// gcnJob is a pass over the batch's observations, or over the rows of a
+// layer's weight gradient.
+type gcnJob struct {
+	g     *GCN
+	pass  gcnPass
+	layer int
+}
+
+// split runs one pass, split with the helper when the batch is large.
+func (g *GCN) split(pass gcnPass, layer int) {
+	items := g.batch
+	if pass == gcnGrad {
+		items = g.layers[layer].In
+	}
+	j := gcnJob{g: g, pass: pass, layer: layer}
+	if h := claim(g.work, items); h != nil {
+		h.args.gcn = j
+		h.run(&h.args.gcn, items/2, items)
+		return
+	}
+	j.run(0, 0, items)
+}
+
+func (gj *gcnJob) run(p, lo, hi int) {
+	g, i := gj.g, gj.layer
+	if gj.pass == gcnGrad {
+		g.gradRows(p, i, lo, hi)
+		return
+	}
+	for b := lo; b < hi; b++ {
+		if gj.pass == gcnForward {
+			g.forwardObs(p, b)
+		} else {
+			g.up(p, i, b)
 		}
+	}
+}
+
+// forwardObs stores observation b's activations in every layer.
+func (g *GCN) forwardObs(p, b int) {
+	n, ps := g.sx.n, &g.parts[p]
+	var h []float64
+	for i, l := range g.layers {
+		y := l.batchY.Data[b*n*l.Out : (b+1)*n*l.Out]
+		if i == 0 {
+			g.sx.mulInto(y, b, l.W.Data, l.Out, l.Out)
+		} else {
+			ps.sh = ensureLen(ps.sh, n*l.In)
+			g.sops.mulInto(ps.sh, b, h, l.In, l.In)
+			matMul(y, ps.sh, l.W.Data, l.In, l.Out)
+		}
+		l.Act.apply(y, y)
+		h = y
+	}
+}
+
+// dZOf is observation b's block of layer i's σ′ product.
+func (g *GCN) dZOf(i, b int) []float64 {
+	n, w := g.sx.n, g.layers[i].Out
+	return g.dZ[(len(g.layers)-1-i)%2][b*n*w : (b+1)*n*w]
+}
+
+// up forms observation b's input gradient of layer i > 0, Ŝ (dZ Wᵀ) (Ŝ is
+// symmetric), in the block where layer i−1 keeps its σ′ product, and
+// turns it into that product in place.
+func (g *GCN) up(p, i, b int) {
+	n, l, ps := g.sx.n, g.layers[i], &g.parts[p]
+	ps.dZW = ensureLen(ps.dZW, n*l.In)
+	matMulBT(ps.dZW, g.dZOf(i, b), l.W.Data, l.Out, l.In, &ps.wT)
+	d := g.dZOf(i-1, b)
+	g.sops.mulInto(d, b, ps.dZW, l.In, l.In)
+	g.layers[i-1].Act.backward(d, d, g.layers[i-1].batchY.Data[b*n*l.In:(b+1)*n*l.In])
+}
+
+// gradRows adds rows [lo, hi) of layer i's weight gradient, one
+// observation at a time in batch order. Past the first layer the rows are
+// those of (Ŝ H)ᵀ dZ, so the part recomputes columns [lo, hi) of each
+// observation's propagated input Ŝ H, one sparse product.
+func (g *GCN) gradRows(p, i, lo, hi int) {
+	n, l, ps := g.sx.n, g.layers[i], &g.parts[p]
+	ps.acc = ensureLen(ps.acc, l.Out)
+	w := hi - lo
+	if i > 0 {
+		ps.sh = ensureLen(ps.sh, n*w)
+	}
+	for b := 0; b < g.batch; b++ {
+		dz := g.dZOf(i, b)
+		if i == 0 {
+			g.sx.atAdd(l.gradW.Data, b, dz, l.Out, ps.acc, lo, hi)
+			continue
+		}
+		h := g.layers[i-1].batchY.Data[b*n*l.In : (b+1)*n*l.In]
+		g.sops.mulInto(ps.sh, b, h[lo:], w, l.In)
+		atAddRows(l.gradW.Data[lo*l.Out:], ps.sh, dz, w, l.Out, ps.acc, 0, w)
 	}
 }
 

@@ -198,8 +198,18 @@ func TestGCNGradientMatchesFiniteDifference(t *testing.T) {
 // passes bit for bit — each observation's embedding, and weight gradients
 // equal to per-observation Backward calls accumulated in batch order from
 // zero. Three layers, so the backward recomputes more than one hidden
-// activation from the cached first-layer product.
+// activation from the cached first-layer product. It runs with every task
+// that has two parts split with the helper, and with none split.
 func TestGCNBatchMatchesSingleBitForBit(t *testing.T) {
+	for _, mode := range splitModes {
+		t.Run(mode.name, func(t *testing.T) {
+			defer mode.set()()
+			checkGCNBatchMatchesSingle(t)
+		})
+	}
+}
+
+func checkGCNBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	const n, f, batch = 8, 9, 16
 	gcn := NewGCN(rng, 3, f, 7, 2)

@@ -83,7 +83,7 @@ func checkKernels(t *testing.T, r *kernelValues, m, k, n, ldb int) {
 	path = 0
 	bothPaths(func() {
 		outs[path] = r.fill(m * n)
-		s.mulInto(outs[path], 0, b, n)
+		s.mulInto(outs[path], 0, b, n, n)
 		path++
 	})
 	sameBits(t, "sparseBlocks.mulInto "+shape, outs[0], outs[1])
@@ -91,8 +91,7 @@ func checkKernels(t *testing.T, r *kernelValues, m, k, n, ldb int) {
 	path = 0
 	bothPaths(func() {
 		outs[path] = append([]float64(nil), dst1...)
-		var acc []float64
-		s.atAdd(outs[path], 0, c, n, &acc)
+		s.atAdd(outs[path], 0, c, n, make([]float64, n), 0, k)
 		path++
 	})
 	sameBits(t, "sparseBlocks.atAdd "+shape, outs[0], outs[1])
@@ -145,4 +144,52 @@ func FuzzNNKernels(f *testing.F) {
 			checkAgainstReference(t, &kernelValues{data}, 1+int(m%4), int(k), 1+int(n%40), 1+int(pad%3), 1+int(n%40)+int(pad%4))
 		})
 	})
+}
+
+// TestSplitProductsBitForBit holds every product the helper splits to the
+// serial product, on both paths: shapes with odd row counts, column counts
+// around the cut's multiple of 4 and the transposed tile, and operands
+// laced with ±0, NaN, ±Inf and subnormals.
+func TestSplitProductsBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, sh := range [][3]int{{2, 3, 8}, {3, 5, 9}, {7, 1, 37}, {5, 8, 67}, {64, 33, 70}, {2, 0, 12}} {
+		m, k, n := sh[0], sh[1], sh[2]
+		data := make([]byte, 1<<15)
+		rng.Read(data)
+		bothPaths(func() {
+			r := &kernelValues{data}
+			a, b, bn, c := r.fill(m*k), r.fill(k*n), r.fill(n*k), r.fill(m*n)
+			dst0, z, y := r.fill(k*n), r.fill(m*n), r.fill(m*n)
+			ps := []Param{
+				{Value: FromSlice(1, n, r.fill(n)), Grad: FromSlice(1, n, r.fill(n))},
+				{Value: FromSlice(m, 3, r.fill(3*m)), Grad: FromSlice(m, 3, r.fill(3*m))},
+			}
+			var outs [2][][]float64
+			for i, mode := range splitModes {
+				restore := mode.set()
+				mul, bt := r.fill(m*n), r.fill(m*n)
+				matMul(mul, a, b, k, n)
+				at := append([]float64(nil), dst0...)
+				var acc, wT []float64
+				matMulATAdd(at, a, c, k, n, &acc)
+				matMulBT(bt, a, bn, k, n, &wT)
+				tanh, back := new(Matrix), FromSlice(m, n, append([]float64(nil), y...))
+				Tanh.applyInto(tanh, FromSlice(m, n, z))
+				Tanh.backwardInto(back, FromSlice(m, n, z), back)
+				adam := NewAdam(0.01)
+				cp := make([]Param, len(ps))
+				for j, p := range ps {
+					cp[j] = Param{Value: p.Value.Clone(), Grad: p.Grad}
+				}
+				adam.Step(cp)
+				adam.Step(cp)
+				outs[i] = [][]float64{mul, at, bt, tanh.Data, back.Data, cp[0].Value.Data, cp[1].Value.Data}
+				restore()
+			}
+			shape := fmt.Sprintf("m=%d k=%d n=%d useAsm=%v", m, k, n, useAsm)
+			for j, name := range []string{"matMul", "matMulATAdd", "matMulBT", "tanh", "tanh backward", "adam 0", "adam 1"} {
+				sameBits(t, name+" "+shape, outs[1][j], outs[0][j])
+			}
+		})
+	}
 }

@@ -50,8 +50,10 @@ func reluSlice(rng *rand.Rand, n int) []float64 {
 // gradient, the ReLU apply and backward (these three over a batch of
 // observations), and the first MLP layer's input gradient over the
 // embedding columns. It reports multiply-adds (for ReLU, elements) per
-// nanosecond; a sparse product counts those of its dense form.
+// nanosecond; a sparse product counts those of its dense form. The
+// products run on one goroutine, unsplit: the rates are the kernels'.
 func BenchmarkNNKernelsTableII(b *testing.B) {
+	defer SplitNoTask()()
 	rng := rand.New(rand.NewSource(1))
 	type product struct {
 		name string
@@ -100,7 +102,7 @@ func BenchmarkNNKernelsTableII(b *testing.B) {
 	s.appendBlock(sx)
 	w0, y0 := randSlice(rng, f*hid), make([]float64, n*hid)
 	dZ0, gradW0 := randSlice(rng, n*hid), make([]float64, f*hid)
-	var acc0 []float64
+	acc0 := make([]float64, hid)
 
 	// The layers past the first propagate through Ŝ, kept sparse: about
 	// 5% dense on ORION, a self loop and one or two neighbours per vertex.
@@ -135,9 +137,9 @@ func BenchmarkNNKernelsTableII(b *testing.B) {
 		}
 	}
 	products = append(products,
-		product{fmt.Sprintf("sparseSXW/%dx%dx%d", n, f, hid), n * f * hid, "madd/ns", func() { s.mulInto(y0, 0, w0, hid) }},
-		product{fmt.Sprintf("sparseSXTdZ/%dx%dx%d", f, n, hid), n * f * hid, "madd/ns", func() { s.atAdd(gradW0, 0, dZ0, hid, &acc0) }},
-		product{fmt.Sprintf("sparseSH/%dx%dx%d", n, n, hid), n * n * hid, "madd/ns", func() { sHat.mulInto(sh, 0, h0, hid) }},
+		product{fmt.Sprintf("sparseSXW/%dx%dx%d", n, f, hid), n * f * hid, "madd/ns", func() { s.mulInto(y0, 0, w0, hid, hid) }},
+		product{fmt.Sprintf("sparseSXTdZ/%dx%dx%d", f, n, hid), n * f * hid, "madd/ns", func() { s.atAdd(gradW0, 0, dZ0, hid, acc0, 0, f) }},
+		product{fmt.Sprintf("sparseSH/%dx%dx%d", n, n, hid), n * n * hid, "madd/ns", func() { sHat.mulInto(sh, 0, h0, hid, hid) }},
 		product{fmt.Sprintf("embed/%dx%dx%dx%d", tableIIBatch, n, hid, emb), tableIIBatch * blk * emb, "madd/ns", perBlock(func(b int) {
 			matMul(y1, h[b*blk:(b+1)*blk], w1, hid, emb)
 		})},
@@ -324,13 +326,13 @@ func checkAgainstReference(t *testing.T, r *kernelValues, m, k, n, astride, ldb 
 	s.appendBlock(blk)
 	want, got = make([]float64, m*n), r.fill(m*n) // garbage the product must overwrite
 	matMul(want, blk, w, k, n)
-	s.mulInto(got, 0, w, n)
+	s.mulInto(got, 0, w, n, n)
 	sameBits(t, "sparseBlocks.mulInto "+shape, want, got)
 	dst := r.fill(k * n)
 	want, got = append([]float64(nil), dst...), append([]float64(nil), dst...)
 	var acc []float64
 	matMulATAdd(want, blk, dZ, k, n, &acc)
-	s.atAdd(got, 0, dZ, n, &acc)
+	s.atAdd(got, 0, dZ, n, acc, 0, k)
 	sameBits(t, "sparseBlocks.atAdd "+shape, want, got)
 }
 

@@ -102,11 +102,29 @@ func MatMulInto(dst, a, b *Matrix) {
 // matMul is MatMulInto on row-major slices: dst (m×n) = a (m×k) × b (k×n),
 // with m = len(dst)/n, one rowProduct per output row. It is also applied
 // to one row block of a row-stacked batch at a time (a per-observation Ŝ
-// times that observation's rows).
+// times that observation's rows). Large products split their rows with
+// the helper.
 func matMul(dst, a, b []float64, k, n int) {
 	m := len(dst) / max(n, 1)
-	for i := 0; i < m; i++ {
-		rowProduct(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], k, 1, b, n)
+	j := mulJob{dst: dst, a: a, b: b, k: k, n: n}
+	if h := claim(m*k*n, m); h != nil {
+		h.args.mul = j
+		h.run(&h.args.mul, m/2, m)
+		return
+	}
+	j.run(0, 0, m)
+}
+
+// mulJob is matMul's rows.
+type mulJob struct {
+	dst, a, b []float64
+	k, n      int
+}
+
+func (mj *mulJob) run(_, lo, hi int) {
+	k, n := mj.k, mj.n
+	for i := lo; i < hi; i++ {
+		rowProduct(mj.dst[i*n:(i+1)*n], mj.a[i*k:(i+1)*k], k, 1, mj.b, n)
 	}
 }
 
@@ -129,11 +147,36 @@ func matMulATAddInto(dst, a, b *Matrix, acc *[]float64) {
 
 // matMulATAdd is matMulATAddInto on row-major slices, with r = len(a)/m:
 // row i of the product is the rowProduct of column i of a (stride m).
+// Large products split their output rows with the helper, which sums in
+// a scratch row of its own.
 func matMulATAdd(dst, a, b []float64, m, n int, acc *[]float64) {
-	*acc = ensureLen(*acc, n)
-	row := *acc
+	j := atAddJob{dst: dst, a: a, b: b, m: m, n: n, acc: [2]*[]float64{acc}}
+	if h := claim(len(a)*n, m); h != nil {
+		j.acc[1] = &h.acc
+		h.args.atAdd = j
+		h.run(&h.args.atAdd, m/2, m)
+		return
+	}
+	j.run(0, 0, m)
+}
+
+// atAddJob is matMulATAdd's output rows, part p summing in *acc[p].
+type atAddJob struct {
+	dst, a, b []float64
+	m, n      int
+	acc       [2]*[]float64
+}
+
+func (aj *atAddJob) run(p, lo, hi int) {
+	*aj.acc[p] = ensureLen(*aj.acc[p], aj.n)
+	atAddRows(aj.dst, aj.a, aj.b, aj.m, aj.n, *aj.acc[p], lo, hi)
+}
+
+// atAddRows adds rows [lo, hi) of aᵀ×b into dst (a is r×m, b is r×n,
+// dst is m×n), each summed in row (n long) and then added.
+func atAddRows(dst, a, b []float64, m, n int, row []float64, lo, hi int) {
 	rows := len(a) / max(m, 1)
-	for i := 0; i < m; i++ {
+	for i := lo; i < hi; i++ {
 		rowProduct(row, a[min(i, len(a)):], rows, m, b, n)
 		orow := dst[i*n : (i+1)*n][:len(row)]
 		for j, v := range row {
@@ -163,19 +206,42 @@ func matMulBTInto(dst, a, b *Matrix, bt *[]float64) {
 const btTile = 32
 
 // matMulBT is matMulBTInto on row-major slices: dst (m×n) = a (m×k) ×
-// bᵀ for b (n×k). On the vector path btTile rows of b at a time are
-// transposed into *bt (k×btTile, grown on first use) and every row of a
-// runs the row product against them, giving btTile columns of dst.
-// Otherwise both operands are read along contiguous rows, and a 2×4
-// block of outputs is kept in registers, so each loaded element of a
-// feeds four products and each element of b two.
+// bᵀ for b (n×k). Large products split their columns with the helper, at
+// a multiple of 4, each part transposing its own tiles into its own
+// scratch; *bt is the caller's.
 func matMulBT(dst, a, b []float64, k, n int, bt *[]float64) {
 	m := len(dst) / max(n, 1)
+	j := btJob{dst: dst, a: a, b: b, k: k, n: n, bt: [2]*[]float64{bt}}
+	if h := claim(m*k*n, n/4); h != nil { // items: groups of four columns
+		j.bt[1] = &h.tile
+		h.args.bt = j
+		h.run(&h.args.bt, (n/2+2)&^3, n)
+		return
+	}
+	j.run(0, 0, n)
+}
+
+// btJob is matMulBT's columns, part p transposing into *bt[p].
+type btJob struct {
+	dst, a, b []float64
+	k, n      int
+	bt        [2]*[]float64
+}
+
+// run computes columns [lo, hi) of dst. On the vector path btTile rows
+// of b at a time are transposed into *bt[p] (k×btTile, grown on first
+// use) and every row of a runs the row product against them, giving
+// btTile columns of dst. Otherwise both operands are read along
+// contiguous rows, and a 2×4 block of outputs is kept in registers, so
+// each loaded element of a feeds four products and each element of b two.
+func (bj *btJob) run(p, lo, hi int) {
+	dst, a, b, k, n := bj.dst, bj.a, bj.b, bj.k, bj.n
+	m := len(dst) / max(n, 1)
 	if useAsm && n >= 4 {
-		*bt = ensureLen(*bt, k*min(n, btTile))
-		for j0 := 0; j0 < n; j0 += btTile {
-			w := min(btTile, n-j0)
-			t := (*bt)[:k*w]
+		*bj.bt[p] = ensureLen(*bj.bt[p], k*min(hi-lo, btTile))
+		for j0 := lo; j0 < hi; j0 += btTile {
+			w := min(btTile, hi-j0)
+			t := (*bj.bt[p])[:k*w]
 			transpose(t, b[j0*k:(j0+w)*k], w, k)
 			for i := 0; i < m; i++ {
 				rowProduct(dst[i*n+j0:i*n+j0+w], a[i*k:(i+1)*k], k, 1, t, w)
@@ -189,8 +255,8 @@ func matMulBT(dst, a, b []float64, k, n int, bt *[]float64) {
 		a1 := a[(i+1)*k : (i+2)*k][:len(a0)]
 		o0 := dst[i*n : (i+1)*n]
 		o1 := dst[(i+1)*n : (i+2)*n][:len(o0)]
-		j := 0
-		for ; j+4 <= n; j += 4 {
+		j := lo
+		for ; j+4 <= hi; j += 4 {
 			b0 := b[j*k : (j+1)*k][:len(a0)]
 			b1 := b[(j+1)*k : (j+2)*k][:len(a0)]
 			b2 := b[(j+2)*k : (j+3)*k][:len(a0)]
@@ -214,7 +280,7 @@ func matMulBT(dst, a, b []float64, k, n int, bt *[]float64) {
 			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
 			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
 		}
-		for ; j < n; j++ {
+		for ; j < hi; j++ {
 			brow := b[j*k : (j+1)*k]
 			o0[j], o1[j] = dotSkip(a0, brow), dotSkip(a1, brow)
 		}
@@ -222,7 +288,7 @@ func matMulBT(dst, a, b []float64, k, n int, bt *[]float64) {
 	if i < m {
 		arow := a[i*k : (i+1)*k]
 		orow := dst[i*n : (i+1)*n]
-		for j := range orow {
+		for j := lo; j < hi; j++ {
 			orow[j] = dotSkip(arow, b[j*k:(j+1)*k])
 		}
 	}

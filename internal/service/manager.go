@@ -983,7 +983,7 @@ func (m *Manager) tryZoo(ctx context.Context, j *job) *Result {
 	if m.verdicts != nil {
 		cfg.SharedAnalyzerCache = m.verdicts
 	}
-	sol, stats, err := zoo.Rollout(ctx, j.prob, cfg, match.Weights, zoo.RolloutOptions{})
+	sol, stats, err := zoo.Rollout(ctx, j.prob, cfg, match.Weights)
 	m.met.zooSteps.Add(float64(stats.EnvSteps))
 	var res *Result
 	switch {

@@ -8,17 +8,9 @@ import (
 	"repro/internal/core"
 )
 
-// defaultStreams is the rollout width when RolloutOptions.Streams is zero:
-// enough attempts to ride out one unlucky construction order, cheap next to
-// a single training epoch.
-const defaultStreams = 4
-
-// RolloutOptions tunes the inference-only rollout.
-type RolloutOptions struct {
-	// Streams is the number of independent greedy construction attempts,
-	// each from its own deterministically seeded environment (default 4).
-	Streams int
-}
+// rolloutStreams is the rollout width: enough attempts to ride out one
+// unlucky construction order, cheap next to a single training epoch.
+const rolloutStreams = 4
 
 // RolloutStats reports what a rollout spent and found.
 type RolloutStats struct {
@@ -38,29 +30,21 @@ type stream struct {
 }
 
 // Rollout runs a pretrained policy greedily — masked argmax, no PPO, no
-// gradient work — over Streams independent environments and returns the
-// cheapest solution found (nil when no stream solved). Each stream takes at
-// most cfg.MaxStep environment steps. The caller owns certification: a zoo
-// policy's plan is a *candidate* until the certifier accepts it.
+// gradient work — as rolloutStreams construction attempts, each in its own
+// deterministically seeded environment, and returns the cheapest solution
+// found (nil when no stream solved). Each stream takes at most cfg.MaxStep
+// environment steps. The caller owns certification: a zoo policy's plan is
+// a *candidate* until the certifier accepts it.
 //
 // Determinism: stream s always runs in an environment seeded
 // cfg.Seed + s*104729 + 2 (the planner's worker-env schedule), actions are
 // argmax with lowest-index tie-break, and the global winner is the lowest
 // cost with the lowest stream index as tie-break — so the returned plan is
 // bit-identical to running each stream alone.
-func Rollout(ctx context.Context, prob *core.Problem, cfg core.Config, weights [][]float64, opt RolloutOptions) (*core.Solution, RolloutStats, error) {
-	if opt.Streams <= 0 {
-		opt.Streams = defaultStreams
-	}
-	// One verdict cache across streams: sharing never changes a trajectory.
-	cache := cfg.VerdictCache()
-	streams := make([]*stream, opt.Streams)
-	for s := range streams {
-		env, err := core.NewEnvWithCache(prob, cfg, cfg.Seed+int64(s)*104729+2, cache)
-		if err != nil {
-			return nil, RolloutStats{}, fmt.Errorf("zoo: rollout env: %w", err)
-		}
-		streams[s] = &stream{env: env}
+func Rollout(ctx context.Context, prob *core.Problem, cfg core.Config, weights [][]float64) (*core.Solution, RolloutStats, error) {
+	streams, err := newStreams(prob, cfg, rolloutStreams)
+	if err != nil {
+		return nil, RolloutStats{}, err
 	}
 
 	soag, err := core.NewSOAG(prob, cfg.K)
@@ -79,7 +63,7 @@ func Rollout(ctx context.Context, prob *core.Problem, cfg core.Config, weights [
 		return nil, RolloutStats{}, err
 	}
 
-	stats := RolloutStats{Streams: opt.Streams}
+	stats := RolloutStats{Streams: len(streams)}
 	var best *core.Solution
 	for _, s := range streams {
 		stats.EnvSteps += s.steps
@@ -95,6 +79,21 @@ func Rollout(ctx context.Context, prob *core.Problem, cfg core.Config, weights [
 		}
 	}
 	return best, stats, nil
+}
+
+// newStreams builds n streams on the planner's worker-env seed schedule,
+// sharing one verdict cache: sharing never changes a trajectory.
+func newStreams(prob *core.Problem, cfg core.Config, n int) ([]*stream, error) {
+	cache := cfg.VerdictCache()
+	streams := make([]*stream, n)
+	for s := range streams {
+		env, err := core.NewEnvWithCache(prob, cfg, cfg.Seed+int64(s)*104729+2, cache)
+		if err != nil {
+			return nil, fmt.Errorf("zoo: rollout env: %w", err)
+		}
+		streams[s] = &stream{env: env}
+	}
+	return streams, nil
 }
 
 // runStreams drives the streams to completion. The live streams

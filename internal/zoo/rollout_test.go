@@ -52,9 +52,9 @@ func TestRolloutDeterministicAcrossBatching(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyCfg()
 	weights := trainedWeights(t)
-	const streams = 4
+	const streams = rolloutStreams
 
-	sol, stats, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{Streams: streams})
+	sol, stats, err := Rollout(context.Background(), prob, cfg, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestRolloutReproducible(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Seed = 7
 	weights := trainedWeights(t)
-	_, statsA, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{Streams: 2})
+	_, statsA, err := Rollout(context.Background(), prob, cfg, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, statsB, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{Streams: 2})
+	_, statsB, err := Rollout(context.Background(), prob, cfg, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRolloutReproducible(t *testing.T) {
 func TestRolloutRejectsForeignGeometry(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyCfg()
-	_, _, err := Rollout(context.Background(), prob, cfg, [][]float64{{1, 2, 3}}, RolloutOptions{})
+	_, _, err := Rollout(context.Background(), prob, cfg, [][]float64{{1, 2, 3}})
 	if err == nil {
 		t.Fatal("foreign-geometry weights accepted")
 	}
@@ -171,10 +171,15 @@ func TestRolloutStreamSeedsFollowPlannerSchedule(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Seed = 4
 	weights := trainedWeights(t)
-	solA, _, err := Rollout(context.Background(), prob, cfg, weights, RolloutOptions{Streams: 1})
+	nets := rolloutNets(t, prob, cfg, weights)
+	streams, err := newStreams(prob, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := runStreams(context.Background(), nets, streams, cfg.MaxStep); err != nil {
+		t.Fatal(err)
+	}
+	solA := streams[0].env.Best()
 	if solA == nil {
 		t.Fatal("rollout found no plan")
 	}
@@ -182,7 +187,6 @@ func TestRolloutStreamSeedsFollowPlannerSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets := rolloutNets(t, prob, cfg, weights)
 	s := &stream{env: env}
 	if err := runStreams(context.Background(), nets, []*stream{s}, cfg.MaxStep); err != nil {
 		t.Fatal(err)
