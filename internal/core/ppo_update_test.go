@@ -74,7 +74,8 @@ func orionUpdateFixture(tb testing.TB, cfg core.Config, steps int) (*core.Nets, 
 // coverage). The constants were recorded with the per-sample update loop
 // that preceded the batched one; any change to the floating-point operation
 // sequence of the update — kernel order, gradient grouping, skipped rows —
-// changes the hash.
+// changes the hash. On a CPU that runs the AVX-512 kernels each case runs
+// again with them off, on the AVX2 kernels, against the same hash.
 func TestPPOUpdateGolden(t *testing.T) {
 	tableII := core.DefaultConfig()
 	tableII.Seed = 5
@@ -102,52 +103,64 @@ func TestPPOUpdateGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			nets, buf := orionUpdateFixture(t, tc.cfg, 61)
-			ppo, err := rl.NewPPO(rl.PPOConfig{
-				ClipRatio: 0.2, ActorLR: tc.actorLR, CriticLR: 1e-3,
-				TrainPiIters: 80, TrainVIters: 6, TargetKL: 0.01,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := sha256.New()
-			put := func(v float64) {
-				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				h.Write(b[:])
-			}
-			var clipped, stopped bool
-			for u := 0; u < 3; u++ {
-				st, err := ppo.Update(nets, buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("update %d: %+v", u, st)
-				for _, v := range []float64{st.PolicyLoss, st.ValueLoss, st.ApproxKL, st.Entropy, st.ClipFraction, float64(st.PiIters)} {
-					put(v)
-				}
-				if st.EarlyStopped {
-					put(1)
-				} else {
-					put(0)
-				}
-				clipped = clipped || st.ClipFraction > 0
-				stopped = stopped || st.EarlyStopped
-			}
-			for _, w := range nets.ExportWeights() {
-				for _, v := range w {
-					put(v)
-				}
-			}
-			if !clipped || !stopped {
-				t.Fatalf("fixture lost coverage: clipped=%v early-stopped=%v", clipped, stopped)
-			}
-			got := hex.EncodeToString(h.Sum(nil))
-			if got != tc.want {
+			if got := goldenUpdateHash(t, tc.cfg, tc.actorLR); got != tc.want {
 				t.Fatalf("update hash %s, want %s", got, tc.want)
+			}
+			if restore, ok := avx512Off(); ok {
+				defer restore()
+				if got := goldenUpdateHash(t, tc.cfg, tc.actorLR); got != tc.want {
+					t.Fatalf("with the AVX-512 kernels off: update hash %s, want %s", got, tc.want)
+				}
 			}
 		})
 	}
+}
+
+// goldenUpdateHash builds TestPPOUpdateGolden's fixture for cfg and
+// returns the hash of its three updates.
+func goldenUpdateHash(t *testing.T, cfg core.Config, actorLR float64) string {
+	t.Helper()
+	nets, buf := orionUpdateFixture(t, cfg, 61)
+	ppo, err := rl.NewPPO(rl.PPOConfig{
+		ClipRatio: 0.2, ActorLR: actorLR, CriticLR: 1e-3,
+		TrainPiIters: 80, TrainVIters: 6, TargetKL: 0.01,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	put := func(v float64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	var clipped, stopped bool
+	for u := 0; u < 3; u++ {
+		st, err := ppo.Update(nets, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("update %d: %+v", u, st)
+		for _, v := range []float64{st.PolicyLoss, st.ValueLoss, st.ApproxKL, st.Entropy, st.ClipFraction, float64(st.PiIters)} {
+			put(v)
+		}
+		if st.EarlyStopped {
+			put(1)
+		} else {
+			put(0)
+		}
+		clipped = clipped || st.ClipFraction > 0
+		stopped = stopped || st.EarlyStopped
+	}
+	for _, w := range nets.ExportWeights() {
+		for _, v := range w {
+			put(v)
+		}
+	}
+	if !clipped || !stopped {
+		t.Fatalf("fixture lost coverage: clipped=%v early-stopped=%v", clipped, stopped)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // tableIIUpdate returns Table II networks, a seeded 64-step ORION buffer

@@ -140,7 +140,7 @@ type Dense struct {
 	lastX *Matrix   // batch×In (caller-owned input, not copied)
 	y     *Matrix   // activations: xW + b, then σ of it in place
 	dX    *Matrix   // backward scratch: returned input gradient
-	acc   []float64 // backward scratch: one row of xᵀ dZ
+	acc   []float64 // backward scratch: a block of rows of xᵀ dZ
 	wT    []float64 // backward scratch: a tile of Wᵀ
 }
 

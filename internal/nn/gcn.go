@@ -55,7 +55,7 @@ type GCNLayer struct {
 	dZ  *Matrix   // backward scratch
 	dZW *Matrix   // backward scratch: dZ Wᵀ
 	dH  *Matrix   // backward scratch: returned input gradient
-	acc []float64 // backward scratch: one row of (ŜH)ᵀ dZ
+	acc []float64 // backward scratch: a block of rows of (ŜH)ᵀ dZ
 	wT  []float64 // backward scratch: a tile of Wᵀ
 
 	batchY Matrix // activations of a whole batch, one n-row block each
@@ -164,16 +164,14 @@ func (s *sparseBlocks) mulInto(dst []float64, b int, w []float64, k, ldw int) {
 }
 
 // atAdd adds rows [lo, hi) of (block b)ᵀ × dZ (n×k) into dst (f×k), one
-// row of the product at a time through the scratch row (k long):
+// row of the product at a time through the scratch row (at least k long):
 // atAddRows on the dense block.
 func (s *sparseBlocks) atAdd(dst []float64, b int, dZ []float64, k int, row []float64, lo, hi int) {
+	row = row[:k]
 	for c := lo; c < hi; c++ {
 		e0, e1 := s.cOff[b*s.f+c], s.cOff[b*s.f+c+1]
 		rowSparse(row, s.cVal[e0:e1], s.cIdx[e0:e1], dZ, k)
-		orow := dst[c*k : (c+1)*k][:len(row)]
-		for j, v := range row {
-			orow[j] += v
-		}
+		addInto(dst[c*k:(c+1)*k], row)
 	}
 }
 
@@ -211,7 +209,7 @@ type GCN struct {
 // a shared cache line.
 type gcnPart struct {
 	sh, dZW []float64 // Ŝ H, dZ Wᵀ
-	acc, wT []float64 // a row of a weight gradient, a tile of Wᵀ
+	acc, wT []float64 // a block of rows of a weight gradient, a tile of Wᵀ
 	_       [64]byte
 }
 
@@ -489,7 +487,7 @@ func (g *GCN) up(p, i, b int) {
 // observation's propagated input Ŝ H, one sparse product.
 func (g *GCN) gradRows(p, i, lo, hi int) {
 	n, l, ps := g.sx.n, g.layers[i], &g.parts[p]
-	ps.acc = ensureLen(ps.acc, l.Out)
+	ps.acc = ensureLen(ps.acc, maxBlockRows*l.Out)
 	w := hi - lo
 	if i > 0 {
 		ps.sh = ensureLen(ps.sh, n*w)

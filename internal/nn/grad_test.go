@@ -199,12 +199,14 @@ func TestGCNGradientMatchesFiniteDifference(t *testing.T) {
 // equal to per-observation Backward calls accumulated in batch order from
 // zero. Three layers, so the backward recomputes more than one hidden
 // activation from the cached first-layer product. It runs with every task
-// that has two parts split with the helper, and with none split.
+// that has two parts split with the helper, and with none split, each on
+// every kernel tier.
 func TestGCNBatchMatchesSingleBitForBit(t *testing.T) {
+	tiers := availableTiers(t)
 	for _, mode := range splitModes {
 		t.Run(mode.name, func(t *testing.T) {
 			defer mode.set()()
-			checkGCNBatchMatchesSingle(t)
+			onTiers(tiers, func(kernelTier) { checkGCNBatchMatchesSingle(t) })
 		})
 	}
 }

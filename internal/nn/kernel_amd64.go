@@ -22,11 +22,27 @@ var hasAVX2 = func() bool {
 	return ebx7&(1<<5) != 0
 }()
 
+// hasAVX512 reports whether the CPU also implements AVX-512F and the OS
+// saves the opmask and ZMM registers: XGETBV (XCR0 bits 1–2 and 5–7: XMM,
+// YMM, opmask, the upper halves of ZMM0–15, and ZMM16–31) and CPUID leaf
+// 7 (EBX bit 16).
+var hasAVX512 = hasAVX2 && func() bool {
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&(1<<16) != 0
+}()
+
 // useAsm routes the row, sparse row and Adam kernels through the AVX2
 // assembly. Under the race detector the Go loops run instead, so the
 // detector still sees every kernel memory access. The kernel tests flip
-// it to run both paths.
+// it to run each path.
 var useAsm = hasAVX2 && !raceflag.Enabled
+
+// useAVX512 adds, where useAsm holds, the AVX-512 kernels: the row-block
+// products and the Adam step. The kernel tests flip it to run each path.
+var useAVX512 = useAsm && hasAVX512
 
 //go:noescape
 func rowAVX2(dst *float64, n int, a *float64, k, astride int, b *float64, ldb int)
@@ -36,6 +52,15 @@ func rowSparseAVX2(dst *float64, n int, val *float64, idx *uint32, cnt int, b *f
 
 //go:noescape
 func adamAVX2(p, grad, m, v *float64, n int, c *adamCoef)
+
+//go:noescape
+func rows4AVX512(dst *float64, ldd, n int, a *float64, k, astride, rstride int, b *float64, ldb int)
+
+//go:noescape
+func narrow8AVX512(dst *float64, ldd, n int, a *float64, k, astride, rstride int, b *float64, ldb int)
+
+//go:noescape
+func adamAVX512(p, grad, m, v *float64, n int, c *adamCoef)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -85,17 +110,59 @@ func rowSparse(dst, val []float64, idx []uint32, b []float64, ldb int) {
 	}
 }
 
-// adamUpdate is adamGo, four elements at a time in the assembly.
+// blockRows is how many rows of an n-column product over k steps
+// rowsProduct computes at once: 8, one per vector lane, when n ≤ 3, and
+// otherwise 4, sharing each load of b. It is 0 when the AVX-512 kernels
+// are not in use or the product is empty.
+func blockRows(k, n int) int {
+	switch {
+	case !useAsm || !useAVX512 || k <= 0 || n <= 0:
+		return 0
+	case n <= 3:
+		return 8
+	}
+	return 4
+}
+
+// rowsProduct computes g = blockRows(k, n) rows of a product at once:
+// dst[r·ldd+j] = Σ_kk a[r·rstride+kk·astride]·b[kk·ldb+j] for r < g, j < n
+// and kk < k, each row exactly as rowProduct computes it. The rows of a
+// product's a operand are rstride apart and its steps astride apart: a×b
+// reads rows of a (rstride k, astride 1), aᵀ×b columns (rstride 1,
+// astride a's width).
+func rowsProduct(dst []float64, ldd, n int, a []float64, k, astride, rstride int, b []float64, ldb int) {
+	g := blockRows(k, n)
+	if astride < 0 || rstride < 0 || ldb < 0 || ldd < 0 ||
+		(g-1)*rstride+(k-1)*astride >= len(a) || (k-1)*ldb+n > len(b) || (g-1)*ldd+n > len(dst) {
+		panic("nn: row block kernel operands out of range")
+	}
+	if g == 4 {
+		rows4AVX512(&dst[0], ldd, n, &a[0], k, astride, rstride, &b[0], ldb)
+	} else {
+		narrow8AVX512(&dst[0], ldd, n, &a[0], k, astride, rstride, &b[0], ldb)
+	}
+}
+
+// adamUpdate is adamGo, eight or four elements at a time in the assembly.
 func adamUpdate(p, g, m, v []float64, c *adamCoef) {
-	n := len(p) &^ 3
-	if !useAsm || n == 0 {
+	if !useAsm || len(p) < 4 {
 		adamGo(p, g, m, v, c)
 		return
 	}
 	if len(g) < len(p) || len(m) < len(p) || len(v) < len(p) {
 		panic("nn: adam operands shorter than the parameters")
 	}
-	adamAVX2(&p[0], &g[0], &m[0], &v[0], n, c)
+	n := 0
+	if useAVX512 {
+		n = len(p) &^ 7
+		if n > 0 {
+			adamAVX512(&p[0], &g[0], &m[0], &v[0], n, c)
+		}
+	}
+	if w := (len(p) - n) &^ 3; w > 0 {
+		adamAVX2(&p[n], &g[n], &m[n], &v[n], w, c)
+		n += w
+	}
 	if n < len(p) {
 		adamGo(p[n:], g[n:], m[n:], v[n:], c)
 	}

@@ -335,3 +335,341 @@ adamloop:
 	JNE     adamloop
 	VZEROUPPER
 	RET
+
+// AVX-512 kernels. The opmask registers carry the zero skip: a VCMPPD
+// against +0 with predicate 4 (NEQ_UQ) sets a lane where the a element is
+// not ±0, a NaN included (it compares unordered), and the VADDPD that adds
+// the product merges under that mask, so a lane whose a element is zero
+// keeps its sum untouched, as a skipped step leaves it. The product itself
+// is formed in every lane (0·Inf makes a NaN there) and then dropped.
+// Only AVX-512F instructions on zmm registers appear.
+
+// lanes holds 0..7, one per quadword: times a stride in bytes, the byte
+// offsets of eight rows, for a gather or a scatter.
+DATA lanes<>+0(SB)/8, $0
+DATA lanes<>+8(SB)/8, $1
+DATA lanes<>+16(SB)/8, $2
+DATA lanes<>+24(SB)/8, $3
+DATA lanes<>+32(SB)/8, $4
+DATA lanes<>+40(SB)/8, $5
+DATA lanes<>+48(SB)/8, $6
+DATA lanes<>+56(SB)/8, $7
+GLOBL lanes<>(SB), RODATA|NOPTR, $64
+
+// LANE_OFFSETS sets z to lanes times the byte stride in r, with t as
+// scratch. VPMULUDQ multiplies 32-bit halves, so the stride's high and low
+// halves are multiplied apart.
+#define LANE_OFFSETS(r, z, t) VPBROADCASTQ r, z; VPSRLQ $32, z, t; VPMULUDQ lanes<>(SB), t, t; VPSLLQ $32, t, t; VPMULUDQ lanes<>(SB), z, z; VPADDQ t, z, z
+
+// MMADD adds the product b·a into acc in the lanes of mask k.
+#define MMADD(a, b, t, k, acc) VMULPD a, b, t; VADDPD acc, t, k, acc
+
+// Four-row kernel building blocks. R12 walks a (stride R9 bytes) with the
+// four rows R10 bytes apart (BX = 3·R10), R13 walks the current column
+// tile of b (stride R11 bytes), AX counts k down and Z31 holds +0. Row r
+// sums into Z(4r), Z(4r+1), Z(4r+2), Z(4r+3), one zmm per 8 columns.
+#define R4_BEGIN MOVQ SI, R12; MOVQ DX, R13; MOVQ k+32(FP), AX
+
+// R4_MASKS broadcasts row r's a element into Z(20+r) and sets mask K(1+r)
+// in every lane if it is nonzero, in none if it is ±0.
+#define R4_MASKS VBROADCASTSD (R12), Z20; VBROADCASTSD (R12)(R10*1), Z21; VBROADCASTSD (R12)(R10*2), Z22; VBROADCASTSD (R12)(BX*1), Z23; VCMPPD $4, Z31, Z20, K1; VCMPPD $4, Z31, Z21, K2; VCMPPD $4, Z31, Z22, K3; VCMPPD $4, Z31, Z23, K4
+
+// R4_COL adds one zmm of b, bz, times each row's a element into that
+// row's accumulator c0..c3.
+#define R4_COL(bz, t, c0, c1, c2, c3) MMADD(Z20, bz, t, K1, c0); MMADD(Z21, bz, t, K2, c1); MMADD(Z22, bz, t, K3, c2); MMADD(Z23, bz, t, K4, c3)
+
+#define R4_NEXT(loop) ADDQ R9, R12; ADDQ R11, R13; DECQ AX; JNE loop
+
+// R4_STORE writes c0..c3 at byte offset off of the four output rows (AX
+// points at the fourth); R4_STOREM writes the lanes of K5 only.
+#define R4_ROW3 LEAQ (DI)(R8*2), AX; ADDQ R8, AX
+#define R4_STORE(off, c0, c1, c2, c3) VMOVUPD c0, off(DI); VMOVUPD c1, off(DI)(R8*1); VMOVUPD c2, off(DI)(R8*2); VMOVUPD c3, off(AX)
+#define R4_STOREM(c0, c1, c2, c3) VMOVUPD c0, K5, (DI); VMOVUPD c1, K5, (DI)(R8*1); VMOVUPD c2, K5, (DI)(R8*2); VMOVUPD c3, K5, (AX)
+
+// func rows4AVX512(dst *float64, ldd, n int, a *float64, k, astride, rstride int, b *float64, ldb int)
+//
+// For the four rows r < 4, dst[r·ldd+j] = Σ_{kk<k} a[r·rstride+kk·astride]·
+// b[kk·ldb+j] for j < n, summed from +0 in kk order, skipping a elements
+// equal to zero: four rows of rowAVX2 that share each load of b. k > 0 and
+// n > 0. Columns go in tiles of 32 (16 accumulator chains), then one of
+// 16 (8 chains), then tiles of 8 whose last one masks its loads and stores
+// to the columns that are left.
+TEXT ·rows4AVX512(SB), NOSPLIT, $0-72
+	MOVQ   dst+0(FP), DI
+	MOVQ   ldd+8(FP), R8
+	MOVQ   n+16(FP), CX
+	MOVQ   a+24(FP), SI
+	MOVQ   astride+40(FP), R9
+	MOVQ   rstride+48(FP), R10
+	MOVQ   b+56(FP), DX
+	MOVQ   ldb+64(FP), R11
+	SHLQ   $3, R8
+	SHLQ   $3, R9
+	SHLQ   $3, R10
+	SHLQ   $3, R11
+	LEAQ   (R10)(R10*2), BX
+	VPXORQ Z31, Z31, Z31
+
+r4tile32:
+	CMPQ   CX, $32
+	JLT    r4tile16
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	VXORPD X4, X4, X4
+	VXORPD X5, X5, X5
+	VXORPD X6, X6, X6
+	VXORPD X7, X7, X7
+	VXORPD X8, X8, X8
+	VXORPD X9, X9, X9
+	VXORPD X10, X10, X10
+	VXORPD X11, X11, X11
+	VXORPD X12, X12, X12
+	VXORPD X13, X13, X13
+	VXORPD X14, X14, X14
+	VXORPD X15, X15, X15
+	R4_BEGIN
+
+r4loop32:
+	VMOVUPD (R13), Z16
+	VMOVUPD 64(R13), Z17
+	VMOVUPD 128(R13), Z18
+	VMOVUPD 192(R13), Z19
+	R4_MASKS
+	R4_COL(Z16, Z24, Z0, Z4, Z8, Z12)
+	R4_COL(Z17, Z25, Z1, Z5, Z9, Z13)
+	R4_COL(Z18, Z26, Z2, Z6, Z10, Z14)
+	R4_COL(Z19, Z27, Z3, Z7, Z11, Z15)
+	R4_NEXT(r4loop32)
+	R4_ROW3
+	R4_STORE(0, Z0, Z4, Z8, Z12)
+	R4_STORE(64, Z1, Z5, Z9, Z13)
+	R4_STORE(128, Z2, Z6, Z10, Z14)
+	R4_STORE(192, Z3, Z7, Z11, Z15)
+	ADDQ   $256, DI
+	ADDQ   $256, DX
+	SUBQ   $32, CX
+	JMP    r4tile32
+
+r4tile16:
+	CMPQ   CX, $16
+	JLT    r4tile8
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X4, X4, X4
+	VXORPD X5, X5, X5
+	VXORPD X8, X8, X8
+	VXORPD X9, X9, X9
+	VXORPD X12, X12, X12
+	VXORPD X13, X13, X13
+	R4_BEGIN
+
+r4loop16:
+	VMOVUPD (R13), Z16
+	VMOVUPD 64(R13), Z17
+	R4_MASKS
+	R4_COL(Z16, Z24, Z0, Z4, Z8, Z12)
+	R4_COL(Z17, Z25, Z1, Z5, Z9, Z13)
+	R4_NEXT(r4loop16)
+	R4_ROW3
+	R4_STORE(0, Z0, Z4, Z8, Z12)
+	R4_STORE(64, Z1, Z5, Z9, Z13)
+	ADDQ   $128, DI
+	ADDQ   $128, DX
+	SUBQ   $16, CX
+
+r4tile8:
+	TESTQ  CX, CX
+	JLE    r4done
+	MOVL   $1, AX
+	SHLL   CX, AX
+	DECL   AX
+	KMOVW  AX, K5             // the columns left, up to 8
+	VXORPD X0, X0, X0
+	VXORPD X4, X4, X4
+	VXORPD X8, X8, X8
+	VXORPD X12, X12, X12
+	R4_BEGIN
+
+r4loop8:
+	VMOVUPD.Z (R13), K5, Z16
+	R4_MASKS
+	R4_COL(Z16, Z24, Z0, Z4, Z8, Z12)
+	R4_NEXT(r4loop8)
+	R4_ROW3
+	R4_STOREM(Z0, Z4, Z8, Z12)
+	ADDQ   $64, DI
+	ADDQ   $64, DX
+	SUBQ   $8, CX
+	JMP    r4tile8
+
+r4done:
+	VZEROUPPER
+	RET
+
+// Narrow kernel building blocks. R12 walks a (stride R9 bytes), R13 walks
+// b (stride R11 bytes), AX counts k down, Z31 holds +0 and Z30 the byte
+// offsets of the eight rows of a for the gather. Z16 holds the eight a
+// elements of a step, one row per lane, K1 the lanes where they are
+// nonzero, and row lanes sum column j into Z(j).
+#define N_LOAD VMOVUPD (R12), Z16
+#define N_GATHER VPXORQ Z16, Z16, Z16; KXNORW K2, K2, K2; VGATHERQPD (R12)(Z30*1), K2, Z16
+#define N_MASK VCMPPD $4, Z31, Z16, K1
+
+// NCOL adds b[kk][off/8], broadcast into bz, times the a elements into acc.
+#define NCOL(off, bz, t, acc) VBROADCASTSD off(R13), bz; MMADD(Z16, bz, t, K1, acc)
+
+#define N_NEXT(loop) ADDQ R9, R12; ADDQ R11, R13; DECQ AX; JNE loop
+
+// func narrow8AVX512(dst *float64, ldd, n int, a *float64, k, astride, rstride int, b *float64, ldb int)
+//
+// rows4AVX512 for eight rows and n ≤ 3 columns, with a row in each lane:
+// dst[r·ldd+j] = Σ_{kk<k} a[r·rstride+kk·astride]·b[kk·ldb+j] for r < 8
+// and j < n, summed from +0 in kk order, skipping a elements equal to
+// zero. k > 0 and 1 ≤ n ≤ 3. The a elements of a step are loaded as one
+// vector when the rows are adjacent (rstride 1) and gathered otherwise;
+// the sums are scattered to dst.
+TEXT ·narrow8AVX512(SB), NOSPLIT, $0-72
+	MOVQ   dst+0(FP), DI
+	MOVQ   ldd+8(FP), R8
+	MOVQ   n+16(FP), CX
+	MOVQ   a+24(FP), R12
+	MOVQ   k+32(FP), AX
+	MOVQ   astride+40(FP), R9
+	MOVQ   rstride+48(FP), R10
+	MOVQ   b+56(FP), R13
+	MOVQ   ldb+64(FP), R11
+	SHLQ   $3, R8
+	SHLQ   $3, R9
+	SHLQ   $3, R10
+	SHLQ   $3, R11
+	VPXORQ Z31, Z31, Z31
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	CMPQ   R10, $8
+	JEQ    ncontig
+	LANE_OFFSETS(R10, Z30, Z28)
+	CMPQ   CX, $2
+	JLT    ngather1
+	JEQ    ngather2
+
+ngather3:
+	N_GATHER
+	N_MASK
+	NCOL(0, Z17, Z24, Z0)
+	NCOL(8, Z18, Z25, Z1)
+	NCOL(16, Z19, Z26, Z2)
+	N_NEXT(ngather3)
+	JMP    nstore
+
+ngather2:
+	N_GATHER
+	N_MASK
+	NCOL(0, Z17, Z24, Z0)
+	NCOL(8, Z18, Z25, Z1)
+	N_NEXT(ngather2)
+	JMP    nstore
+
+ngather1:
+	N_GATHER
+	N_MASK
+	NCOL(0, Z17, Z24, Z0)
+	N_NEXT(ngather1)
+	JMP    nstore
+
+ncontig:
+	CMPQ   CX, $2
+	JLT    ncontig1
+	JEQ    ncontig2
+
+ncontig3:
+	N_LOAD
+	N_MASK
+	NCOL(0, Z17, Z24, Z0)
+	NCOL(8, Z18, Z25, Z1)
+	NCOL(16, Z19, Z26, Z2)
+	N_NEXT(ncontig3)
+	JMP    nstore
+
+ncontig2:
+	N_LOAD
+	N_MASK
+	NCOL(0, Z17, Z24, Z0)
+	NCOL(8, Z18, Z25, Z1)
+	N_NEXT(ncontig2)
+	JMP    nstore
+
+ncontig1:
+	N_LOAD
+	N_MASK
+	NCOL(0, Z17, Z24, Z0)
+	N_NEXT(ncontig1)
+
+nstore:
+	LANE_OFFSETS(R8, Z29, Z28) // byte offsets of the eight output rows
+	KXNORW K2, K2, K2
+	VSCATTERQPD Z0, K2, (DI)(Z29*1)
+	CMPQ   CX, $2
+	JLT    ndone
+	KXNORW K2, K2, K2
+	VSCATTERQPD Z1, K2, 8(DI)(Z29*1)
+	CMPQ   CX, $2
+	JEQ    ndone
+	KXNORW K2, K2, K2
+	VSCATTERQPD Z2, K2, 16(DI)(Z29*1)
+
+ndone:
+	VZEROUPPER
+	RET
+
+// func adamAVX512(p, grad, m, v *float64, n int, c *adamCoef)
+//
+// adamAVX2 on eight elements at a time: n is a positive multiple of 8.
+TEXT ·adamAVX512(SB), NOSPLIT, $0-48
+	MOVQ         p+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         m+16(FP), R8
+	MOVQ         v+24(FP), R9
+	MOVQ         n+32(FP), CX
+	MOVQ         c+40(FP), AX
+	VBROADCASTSD 0(AX), Z8   // β1
+	VBROADCASTSD 8(AX), Z9   // 1-β1
+	VBROADCASTSD 16(AX), Z10 // β2
+	VBROADCASTSD 24(AX), Z11 // 1-β2
+	VBROADCASTSD 32(AX), Z12 // bias correction 1
+	VBROADCASTSD 40(AX), Z13 // bias correction 2
+	VBROADCASTSD 48(AX), Z14 // learning rate
+	VBROADCASTSD 56(AX), Z6  // ε
+
+adam512loop:
+	VMOVUPD (SI), Z0
+	VMOVUPD (R8), Z1
+	VMULPD  Z1, Z8, Z1   // β1·m
+	VMULPD  Z0, Z9, Z2   // (1-β1)·g
+	VADDPD  Z2, Z1, Z1   // m
+	VMOVUPD Z1, (R8)
+	VMOVUPD (R9), Z4
+	VMULPD  Z0, Z11, Z3  // (1-β2)·g
+	VMULPD  Z0, Z3, Z3   // ·g
+	VMULPD  Z4, Z10, Z4  // β2·v
+	VADDPD  Z3, Z4, Z4   // v
+	VMOVUPD Z4, (R9)
+	VDIVPD  Z12, Z1, Z1  // m̂
+	VDIVPD  Z13, Z4, Z4  // v̂
+	VSQRTPD Z4, Z4
+	VADDPD  Z6, Z4, Z4   // √v̂ + ε
+	VMULPD  Z1, Z14, Z1  // lr·m̂
+	VDIVPD  Z4, Z1, Z1
+	VMOVUPD (DI), Z5
+	VSUBPD  Z1, Z5, Z5
+	VMOVUPD Z5, (DI)
+	ADDQ    $64, DI
+	ADDQ    $64, SI
+	ADDQ    $64, R8
+	ADDQ    $64, R9
+	SUBQ    $8, CX
+	JNE     adam512loop
+	VZEROUPPER
+	RET

@@ -2,8 +2,8 @@
 
 package nn
 
-// useAsm is false off amd64: the kernels are the Go loops.
-const useAsm = false
+// useAsm and useAVX512 are false off amd64: the kernels are the Go loops.
+const useAsm, useAVX512 = false, false
 
 // rowProduct is rowGo; see the amd64 version for the contract.
 func rowProduct(dst, a []float64, k, astride int, b []float64, ldb int) {
@@ -17,3 +17,10 @@ func rowSparse(dst, val []float64, idx []uint32, b []float64, ldb int) {
 
 // adamUpdate is adamGo.
 func adamUpdate(p, g, m, v []float64, c *adamCoef) { adamGo(p, g, m, v, c) }
+
+// blockRows is 0 off amd64: every product runs row by row.
+func blockRows(k, n int) int { return 0 }
+
+// rowsProduct computes blockRows(k, n) = 0 rows.
+func rowsProduct(dst []float64, ldd, n int, a []float64, k, astride, rstride int, b []float64, ldb int) {
+}

@@ -26,6 +26,68 @@ const (
 	trunkGradCols = orionVertices * trunkEmbed
 )
 
+// A kernelTier is one selection of the product and Adam kernels: the Go
+// loops, the AVX2 assembly, or the AVX-512 assembly beside it. Each
+// architecture's test file lists its tiers in kernelTiers, the Go loops
+// first, and switches between them with selectTier.
+type kernelTier struct {
+	name        string
+	have        bool // this CPU runs the tier
+	asm, avx512 bool // the useAsm and useAVX512 it sets
+}
+
+// availableTiers returns the kernel tiers this CPU runs, the Go loops
+// first, and logs each one it lacks.
+func availableTiers(tb testing.TB) []kernelTier {
+	var tiers []kernelTier
+	for _, kt := range kernelTiers {
+		if kt.have {
+			tiers = append(tiers, kt)
+		} else {
+			tb.Logf("kernel tier %s skipped: this CPU lacks it", kt.name)
+		}
+	}
+	return tiers
+}
+
+// onTiers runs f on each tier in turn, restoring the selection after each.
+func onTiers(tiers []kernelTier, f func(kernelTier)) {
+	for _, kt := range tiers {
+		func() {
+			defer selectTier(kt)()
+			f(kt)
+		}()
+	}
+}
+
+// sameOnTiers runs f on each tier and holds every tier's outputs to the
+// first tier's, the Go loops', with sameBits.
+func sameOnTiers(t *testing.T, tiers []kernelTier, what string, f func() [][]float64) {
+	t.Helper()
+	var want [][]float64
+	onTiers(tiers, func(kt kernelTier) {
+		got := f()
+		if want == nil {
+			want = got
+			return
+		}
+		for i := range got {
+			sameBits(t, fmt.Sprintf("%s, output %d on %s", what, i, kt.name), want[i], got[i])
+		}
+	})
+}
+
+// selectedTier names the tier the kernels run on.
+func selectedTier() string {
+	switch {
+	case useAsm && useAVX512:
+		return "avx512"
+	case useAsm:
+		return "avx2"
+	}
+	return "go"
+}
+
 func randSlice(rng *rand.Rand, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {
@@ -44,7 +106,8 @@ func reluSlice(rng *rand.Rand, n int) []float64 {
 
 // BenchmarkNNKernelsTableII times the three dense products of one MLP layer
 // of the PPO update — the forward x·W, the weight gradient xᵀ·dZ and the
-// input gradient dZ·Wᵀ — and the products of the GCN trunk: the first
+// input gradient dZ·Wᵀ —, the critic head's 1-wide forward and weight
+// gradient, and the products of the GCN trunk: the first
 // layer's sparse Ŝ·X·W and its weight gradient, the sparse Ŝ·H of the
 // layers past the first, the 32→2 embedding product and its weight
 // gradient, the ReLU apply and backward (these three over a batch of
@@ -52,6 +115,8 @@ func reluSlice(rng *rand.Rand, n int) []float64 {
 // embedding columns. It reports multiply-adds (for ReLU, elements) per
 // nanosecond; a sparse product counts those of its dense form. The
 // products run on one goroutine, unsplit: the rates are the kernels'.
+// Each name starts with the kernel tier it ran on (tier=go, avx2 or
+// avx512).
 func BenchmarkNNKernelsTableII(b *testing.B) {
 	defer SplitNoTask()()
 	rng := rand.New(rand.NewSource(1))
@@ -74,6 +139,19 @@ func BenchmarkNNKernelsTableII(b *testing.B) {
 			product{"forward/" + shape, madds, "madd/ns", func() { matMul(y, x, w, in, out) }},
 			product{"xTdZ/" + shape, madds, "madd/ns", func() { matMulATAdd(gradW, x, dZ, in, out, &acc) }},
 			product{"dZWT/" + shape, madds, "madd/ns", func() { matMulBT(dX, dZ, w, out, in, &wT) }},
+		)
+	}
+
+	// The critic head: the last 256-wide hidden layer (tanh, so no zeros)
+	// into one value, and that weight's gradient.
+	{
+		in := tableIIShapes[1][1]
+		x, w, y := randSlice(rng, tableIIBatch*in), randSlice(rng, in), make([]float64, tableIIBatch)
+		dZ, gradW := randSlice(rng, tableIIBatch), make([]float64, in)
+		var acc []float64
+		products = append(products,
+			product{fmt.Sprintf("head/%dx%dx1", tableIIBatch, in), tableIIBatch * in, "madd/ns", func() { matMul(y, x, w, in, 1) }},
+			product{fmt.Sprintf("headXTdZ/%dx%dx1", in, tableIIBatch), tableIIBatch * in, "madd/ns", func() { matMulATAdd(gradW, x, dZ, in, 1, &acc) }},
 		)
 	}
 
@@ -154,8 +232,9 @@ func BenchmarkNNKernelsTableII(b *testing.B) {
 		})},
 	)
 
+	tier := "tier=" + selectedTier() + "/"
 	for _, p := range products {
-		b.Run(p.name, func(b *testing.B) {
+		b.Run(tier+p.name, func(b *testing.B) {
 			p.run()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -337,17 +416,26 @@ func checkAgainstReference(t *testing.T, r *kernelValues, m, k, n, astride, ldb 
 }
 
 // TestBranchFreeKernelsBitForBit runs checkAgainstReference on every
-// architecture, over k across the compaction chunk boundary, strided a
-// and padded b rows, with operands laced with ±0, NaN, ±Inf and
-// subnormals; then on fixed operands where every zero a element meets an
-// Inf or NaN b element, whose product the kernels must skip, not form.
+// architecture and kernel tier, over k across the compaction chunk
+// boundary, row counts short of, at and past the four- and eight-row
+// blocks, 1–3 columns and 32 or more with a tail, strided a and padded b
+// rows, with operands laced with ±0, NaN, ±Inf and subnormals; then on
+// fixed operands where every zero a element meets an Inf or NaN b element,
+// whose product must not reach the sum: rowNarrow, and the products of a
+// block of rows on every tier.
 func TestBranchFreeKernelsBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
+	tiers := availableTiers(t)
 	for _, k := range []int{0, 1, 2, 5, 31, 63, 64, 65, 130} {
-		for _, n := range []int{1, 2, 3, 4, 9, 33} {
-			data := make([]byte, 1<<14)
-			rng.Read(data)
-			checkAgainstReference(t, &kernelValues{data}, 1+rng.Intn(4), k, n, 1+rng.Intn(3), n+rng.Intn(3))
+		for _, n := range []int{1, 2, 3, 4, 9, 33, 47} {
+			for _, m := range []int{1 + rng.Intn(3), 4 + rng.Intn(4), 8 + rng.Intn(9)} {
+				data := make([]byte, 1<<15)
+				rng.Read(data)
+				astride, ldb := 1+rng.Intn(3), n+rng.Intn(3)
+				onTiers(tiers, func(kernelTier) {
+					checkAgainstReference(t, &kernelValues{data}, m, k, n, astride, ldb)
+				})
+			}
 		}
 	}
 
@@ -375,6 +463,46 @@ func TestBranchFreeKernelsBitForBit(t *testing.T) {
 			}
 		}
 	}
+
+	// Nine rows, each a multiple of the a above (one block of eight, or
+	// two of four, and a row left), so that every zero a element meets a
+	// b row of Inf and NaN: a×b, aᵀ×b over the same rows stored as
+	// columns, and a×wᵀ for w = bᵀ.
+	const m = 9
+	k := len(a)
+	rows, cols := make([]float64, m*k), make([]float64, k*m)
+	for i := 0; i < m; i++ {
+		for kk, v := range a {
+			rows[i*k+kk] = v * float64(i+1)
+			cols[kk*m+i] = v * float64(i+1)
+		}
+	}
+	for _, n := range []int{1, 2, 3, 4, 37} {
+		bw, wt := make([]float64, k*n), make([]float64, n*k)
+		for kk := 0; kk < k; kk++ {
+			for j := 0; j < n; j++ {
+				bw[kk*n+j] = b[kk*3+j%3]
+				wt[j*k+kk] = b[kk*3+j%3]
+			}
+		}
+		what := fmt.Sprintf("block products, zero a against Inf/NaN b, n=%d", n)
+		sameOnTiers(t, tiers, what, func() [][]float64 {
+			mul, at, bt := make([]float64, m*n), make([]float64, m*n), make([]float64, m*n)
+			var acc, wT []float64
+			matMul(mul, rows, bw, k, n)
+			matMulATAdd(at, cols, bw, m, n, &acc)
+			matMulBT(bt, rows, wt, k, n, &wT)
+			for p, out := range [][]float64{mul, at, bt} {
+				for e, v := range out {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("%s on %s: product %d, element %d is %v; a zero a element met an Inf or NaN b", what, selectedTier(), p, e, v)
+					}
+				}
+			}
+			return [][]float64{mul, at, bt}
+		})
+	}
+
 	y := []float64{negZero, nan, -nan, inf, -inf, 5e-324, -5e-324, 0, 1, -1}
 	dY := []float64{inf, nan, 1, nan, -inf, negZero, inf, nan, negZero, -inf}
 	want, got := make([]float64, len(y)), make([]float64, len(y))

@@ -100,10 +100,10 @@ func MatMulInto(dst, a, b *Matrix) {
 }
 
 // matMul is MatMulInto on row-major slices: dst (m×n) = a (m×k) × b (k×n),
-// with m = len(dst)/n, one rowProduct per output row. It is also applied
-// to one row block of a row-stacked batch at a time (a per-observation Ŝ
-// times that observation's rows). Large products split their rows with
-// the helper.
+// with m = len(dst)/n, a rowsProduct per block of output rows and a
+// rowProduct per row left. It is also applied to one row block of a
+// row-stacked batch at a time (a per-observation Ŝ times that
+// observation's rows). Large products split their rows with the helper.
 func matMul(dst, a, b []float64, k, n int) {
 	m := len(dst) / max(n, 1)
 	j := mulJob{dst: dst, a: a, b: b, k: k, n: n}
@@ -123,13 +123,19 @@ type mulJob struct {
 
 func (mj *mulJob) run(_, lo, hi int) {
 	k, n := mj.k, mj.n
-	for i := lo; i < hi; i++ {
+	i := lo
+	if g := blockRows(k, n); g > 0 {
+		for ; i+g <= hi; i += g {
+			rowsProduct(mj.dst[i*n:(i+g)*n], n, n, mj.a[i*k:(i+g)*k], k, 1, k, mj.b, n)
+		}
+	}
+	for ; i < hi; i++ {
 		rowProduct(mj.dst[i*n:(i+1)*n], mj.a[i*k:(i+1)*k], k, 1, mj.b, n)
 	}
 }
 
 // matMulATAddInto adds aᵀ×b into dst (a is r×m, b is r×n, dst is m×n)
-// without a temporary: each row of the product is summed in the one-row
+// without a temporary: each block of rows of the product is summed in the
 // scratch *acc (grown on first use) and then added to dst. Every element
 // sums a[k][i]·b[k][j] over k in order from zero, skipping zero elements
 // of a, and adds that sum once — the operation sequence of computing aᵀ×b
@@ -148,7 +154,7 @@ func matMulATAddInto(dst, a, b *Matrix, acc *[]float64) {
 // matMulATAdd is matMulATAddInto on row-major slices, with r = len(a)/m:
 // row i of the product is the rowProduct of column i of a (stride m).
 // Large products split their output rows with the helper, which sums in
-// a scratch row of its own.
+// a scratch of its own.
 func matMulATAdd(dst, a, b []float64, m, n int, acc *[]float64) {
 	j := atAddJob{dst: dst, a: a, b: b, m: m, n: n, acc: [2]*[]float64{acc}}
 	if h := claim(len(a)*n, m); h != nil {
@@ -168,20 +174,38 @@ type atAddJob struct {
 }
 
 func (aj *atAddJob) run(p, lo, hi int) {
-	*aj.acc[p] = ensureLen(*aj.acc[p], aj.n)
+	*aj.acc[p] = ensureLen(*aj.acc[p], maxBlockRows*aj.n)
 	atAddRows(aj.dst, aj.a, aj.b, aj.m, aj.n, *aj.acc[p], lo, hi)
 }
 
+// maxBlockRows is the most rows rowsProduct computes at once: an
+// atAddRows scratch holds that many rows.
+const maxBlockRows = 8
+
 // atAddRows adds rows [lo, hi) of aᵀ×b into dst (a is r×m, b is r×n,
-// dst is m×n), each summed in row (n long) and then added.
-func atAddRows(dst, a, b []float64, m, n int, row []float64, lo, hi int) {
+// dst is m×n), each block of rows summed in scratch (maxBlockRows·n long)
+// and then added: a rowsProduct over adjacent columns of a, and a
+// rowProduct per row left.
+func atAddRows(dst, a, b []float64, m, n int, scratch []float64, lo, hi int) {
 	rows := len(a) / max(m, 1)
-	for i := lo; i < hi; i++ {
-		rowProduct(row, a[min(i, len(a)):], rows, m, b, n)
-		orow := dst[i*n : (i+1)*n][:len(row)]
-		for j, v := range row {
-			orow[j] += v
+	i := lo
+	if g := blockRows(rows, n); g > 0 {
+		for ; i+g <= hi; i += g {
+			rowsProduct(scratch, n, n, a[i:], rows, m, 1, b, n)
+			addInto(dst[i*n:(i+g)*n], scratch)
 		}
+	}
+	for ; i < hi; i++ {
+		rowProduct(scratch[:n], a[min(i, len(a)):], rows, m, b, n)
+		addInto(dst[i*n:(i+1)*n], scratch)
+	}
+}
+
+// addInto adds src[j] into dst[j] for j < len(dst).
+func addInto(dst, src []float64) {
+	src = src[:len(dst)]
+	for j, v := range src {
+		dst[j] += v
 	}
 }
 
@@ -207,15 +231,15 @@ const btTile = 32
 
 // matMulBT is matMulBTInto on row-major slices: dst (m×n) = a (m×k) ×
 // bᵀ for b (n×k). Large products split their columns with the helper, at
-// a multiple of 4, each part transposing its own tiles into its own
-// scratch; *bt is the caller's.
+// the btTile boundary nearest the middle, each part transposing its own
+// tiles into its own scratch; *bt is the caller's.
 func matMulBT(dst, a, b []float64, k, n int, bt *[]float64) {
 	m := len(dst) / max(n, 1)
 	j := btJob{dst: dst, a: a, b: b, k: k, n: n, bt: [2]*[]float64{bt}}
-	if h := claim(m*k*n, n/4); h != nil { // items: groups of four columns
+	if h := claim(m*k*n, (n+btTile-1)/btTile); h != nil { // items: tiles
 		j.bt[1] = &h.tile
 		h.args.bt = j
-		h.run(&h.args.bt, (n/2+2)&^3, n)
+		h.run(&h.args.bt, (n/2+btTile/2)/btTile*btTile, n)
 		return
 	}
 	j.run(0, 0, n)
@@ -230,10 +254,11 @@ type btJob struct {
 
 // run computes columns [lo, hi) of dst. On the vector path btTile rows
 // of b at a time are transposed into *bt[p] (k×btTile, grown on first
-// use) and every row of a runs the row product against them, giving
-// btTile columns of dst. Otherwise both operands are read along
-// contiguous rows, and a 2×4 block of outputs is kept in registers, so
-// each loaded element of a feeds four products and each element of b two.
+// use) and the rows of a run the row products against them, a block of
+// rows at a time, giving btTile columns of dst. Otherwise both operands
+// are read along contiguous rows, and a 2×4 block of outputs is kept in
+// registers, so each loaded element of a feeds four products and each
+// element of b two.
 func (bj *btJob) run(p, lo, hi int) {
 	dst, a, b, k, n := bj.dst, bj.a, bj.b, bj.k, bj.n
 	m := len(dst) / max(n, 1)
@@ -243,7 +268,13 @@ func (bj *btJob) run(p, lo, hi int) {
 			w := min(btTile, hi-j0)
 			t := (*bj.bt[p])[:k*w]
 			transpose(t, b[j0*k:(j0+w)*k], w, k)
-			for i := 0; i < m; i++ {
+			i := 0
+			if g := blockRows(k, w); g > 0 {
+				for ; i+g <= m; i += g {
+					rowsProduct(dst[i*n+j0:], n, w, a[i*k:(i+g)*k], k, 1, k, t, w)
+				}
+			}
+			for ; i < m; i++ {
 				rowProduct(dst[i*n+j0:i*n+j0+w], a[i*k:(i+1)*k], k, 1, t, w)
 			}
 		}
