@@ -40,8 +40,8 @@ var hasAVX512 = hasAVX2 && func() bool {
 // it to run each path.
 var useAsm = hasAVX2 && !raceflag.Enabled
 
-// useAVX512 adds, where useAsm holds, the AVX-512 kernels: the row-block
-// products and the Adam step. The kernel tests flip it to run each path.
+// useAVX512 adds, where useAsm holds, the AVX-512 row-block products. The
+// kernel tests flip it to run each path.
 var useAVX512 = useAsm && hasAVX512
 
 //go:noescape
@@ -58,9 +58,6 @@ func rows4AVX512(dst *float64, ldd, n int, a *float64, k, astride, rstride int, 
 
 //go:noescape
 func narrow8AVX512(dst *float64, ldd, n int, a *float64, k, astride, rstride int, b *float64, ldb int)
-
-//go:noescape
-func adamAVX512(p, grad, m, v *float64, n int, c *adamCoef)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -143,26 +140,17 @@ func rowsProduct(dst []float64, ldd, n int, a []float64, k, astride, rstride int
 	}
 }
 
-// adamUpdate is adamGo, eight or four elements at a time in the assembly.
+// adamUpdate is adamGo, four elements at a time in the assembly.
 func adamUpdate(p, g, m, v []float64, c *adamCoef) {
-	if !useAsm || len(p) < 4 {
+	n := len(p) &^ 3
+	if !useAsm || n == 0 {
 		adamGo(p, g, m, v, c)
 		return
 	}
 	if len(g) < len(p) || len(m) < len(p) || len(v) < len(p) {
 		panic("nn: adam operands shorter than the parameters")
 	}
-	n := 0
-	if useAVX512 {
-		n = len(p) &^ 7
-		if n > 0 {
-			adamAVX512(&p[0], &g[0], &m[0], &v[0], n, c)
-		}
-	}
-	if w := (len(p) - n) &^ 3; w > 0 {
-		adamAVX2(&p[n], &g[n], &m[n], &v[n], w, c)
-		n += w
-	}
+	adamAVX2(&p[0], &g[0], &m[0], &v[0], n, c)
 	if n < len(p) {
 		adamGo(p[n:], g[n:], m[n:], v[n:], c)
 	}

@@ -510,12 +510,10 @@ r4done:
 
 // Narrow kernel building blocks. R12 walks a (stride R9 bytes), R13 walks
 // b (stride R11 bytes), AX counts k down, Z31 holds +0 and Z30 the byte
-// offsets of the eight rows of a for the gather. Z16 holds the eight a
-// elements of a step, one row per lane, K1 the lanes where they are
-// nonzero, and row lanes sum column j into Z(j).
-#define N_LOAD VMOVUPD (R12), Z16
-#define N_GATHER VPXORQ Z16, Z16, Z16; KXNORW K2, K2, K2; VGATHERQPD (R12)(Z30*1), K2, Z16
-#define N_MASK VCMPPD $4, Z31, Z16, K1
+// offsets of the eight rows of a for the gather. N_LOAD gathers the eight
+// a elements of a step into Z16, one row per lane, and sets K1 in the
+// lanes where they are nonzero; row lanes sum column j into Z(j).
+#define N_LOAD VPXORQ Z16, Z16, Z16; KXNORW K2, K2, K2; VGATHERQPD (R12)(Z30*1), K2, Z16; VCMPPD $4, Z31, Z16, K1
 
 // NCOL adds b[kk][off/8], broadcast into bz, times the a elements into acc.
 #define NCOL(off, bz, t, acc) VBROADCASTSD off(R13), bz; MMADD(Z16, bz, t, K1, acc)
@@ -527,9 +525,8 @@ r4done:
 // rows4AVX512 for eight rows and n ≤ 3 columns, with a row in each lane:
 // dst[r·ldd+j] = Σ_{kk<k} a[r·rstride+kk·astride]·b[kk·ldb+j] for r < 8
 // and j < n, summed from +0 in kk order, skipping a elements equal to
-// zero. k > 0 and 1 ≤ n ≤ 3. The a elements of a step are loaded as one
-// vector when the rows are adjacent (rstride 1) and gathered otherwise;
-// the sums are scattered to dst.
+// zero. k > 0 and 1 ≤ n ≤ 3. The a elements of a step are gathered and
+// the sums scattered to dst, one loop per column count.
 TEXT ·narrow8AVX512(SB), NOSPLIT, $0-72
 	MOVQ   dst+0(FP), DI
 	MOVQ   ldd+8(FP), R8
@@ -548,64 +545,30 @@ TEXT ·narrow8AVX512(SB), NOSPLIT, $0-72
 	VXORPD X0, X0, X0
 	VXORPD X1, X1, X1
 	VXORPD X2, X2, X2
-	CMPQ   R10, $8
-	JEQ    ncontig
 	LANE_OFFSETS(R10, Z30, Z28)
 	CMPQ   CX, $2
-	JLT    ngather1
-	JEQ    ngather2
+	JLT    nloop1
+	JEQ    nloop2
 
-ngather3:
-	N_GATHER
-	N_MASK
+nloop3:
+	N_LOAD
 	NCOL(0, Z17, Z24, Z0)
 	NCOL(8, Z18, Z25, Z1)
 	NCOL(16, Z19, Z26, Z2)
-	N_NEXT(ngather3)
+	N_NEXT(nloop3)
 	JMP    nstore
 
-ngather2:
-	N_GATHER
-	N_MASK
+nloop2:
+	N_LOAD
 	NCOL(0, Z17, Z24, Z0)
 	NCOL(8, Z18, Z25, Z1)
-	N_NEXT(ngather2)
+	N_NEXT(nloop2)
 	JMP    nstore
 
-ngather1:
-	N_GATHER
-	N_MASK
-	NCOL(0, Z17, Z24, Z0)
-	N_NEXT(ngather1)
-	JMP    nstore
-
-ncontig:
-	CMPQ   CX, $2
-	JLT    ncontig1
-	JEQ    ncontig2
-
-ncontig3:
+nloop1:
 	N_LOAD
-	N_MASK
 	NCOL(0, Z17, Z24, Z0)
-	NCOL(8, Z18, Z25, Z1)
-	NCOL(16, Z19, Z26, Z2)
-	N_NEXT(ncontig3)
-	JMP    nstore
-
-ncontig2:
-	N_LOAD
-	N_MASK
-	NCOL(0, Z17, Z24, Z0)
-	NCOL(8, Z18, Z25, Z1)
-	N_NEXT(ncontig2)
-	JMP    nstore
-
-ncontig1:
-	N_LOAD
-	N_MASK
-	NCOL(0, Z17, Z24, Z0)
-	N_NEXT(ncontig1)
+	N_NEXT(nloop1)
 
 nstore:
 	LANE_OFFSETS(R8, Z29, Z28) // byte offsets of the eight output rows
@@ -621,55 +584,5 @@ nstore:
 	VSCATTERQPD Z2, K2, 16(DI)(Z29*1)
 
 ndone:
-	VZEROUPPER
-	RET
-
-// func adamAVX512(p, grad, m, v *float64, n int, c *adamCoef)
-//
-// adamAVX2 on eight elements at a time: n is a positive multiple of 8.
-TEXT ·adamAVX512(SB), NOSPLIT, $0-48
-	MOVQ         p+0(FP), DI
-	MOVQ         grad+8(FP), SI
-	MOVQ         m+16(FP), R8
-	MOVQ         v+24(FP), R9
-	MOVQ         n+32(FP), CX
-	MOVQ         c+40(FP), AX
-	VBROADCASTSD 0(AX), Z8   // β1
-	VBROADCASTSD 8(AX), Z9   // 1-β1
-	VBROADCASTSD 16(AX), Z10 // β2
-	VBROADCASTSD 24(AX), Z11 // 1-β2
-	VBROADCASTSD 32(AX), Z12 // bias correction 1
-	VBROADCASTSD 40(AX), Z13 // bias correction 2
-	VBROADCASTSD 48(AX), Z14 // learning rate
-	VBROADCASTSD 56(AX), Z6  // ε
-
-adam512loop:
-	VMOVUPD (SI), Z0
-	VMOVUPD (R8), Z1
-	VMULPD  Z1, Z8, Z1   // β1·m
-	VMULPD  Z0, Z9, Z2   // (1-β1)·g
-	VADDPD  Z2, Z1, Z1   // m
-	VMOVUPD Z1, (R8)
-	VMOVUPD (R9), Z4
-	VMULPD  Z0, Z11, Z3  // (1-β2)·g
-	VMULPD  Z0, Z3, Z3   // ·g
-	VMULPD  Z4, Z10, Z4  // β2·v
-	VADDPD  Z3, Z4, Z4   // v
-	VMOVUPD Z4, (R9)
-	VDIVPD  Z12, Z1, Z1  // m̂
-	VDIVPD  Z13, Z4, Z4  // v̂
-	VSQRTPD Z4, Z4
-	VADDPD  Z6, Z4, Z4   // √v̂ + ε
-	VMULPD  Z1, Z14, Z1  // lr·m̂
-	VDIVPD  Z4, Z1, Z1
-	VMOVUPD (DI), Z5
-	VSUBPD  Z1, Z5, Z5
-	VMOVUPD Z5, (DI)
-	ADDQ    $64, DI
-	ADDQ    $64, SI
-	ADDQ    $64, R8
-	ADDQ    $64, R9
-	SUBQ    $8, CX
-	JNE     adam512loop
 	VZEROUPPER
 	RET

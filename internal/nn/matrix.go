@@ -231,15 +231,15 @@ const btTile = 32
 
 // matMulBT is matMulBTInto on row-major slices: dst (m×n) = a (m×k) ×
 // bᵀ for b (n×k). Large products split their columns with the helper, at
-// the btTile boundary nearest the middle, each part transposing its own
-// tiles into its own scratch; *bt is the caller's.
+// a multiple of 4, each part transposing its own tiles into its own
+// scratch; *bt is the caller's.
 func matMulBT(dst, a, b []float64, k, n int, bt *[]float64) {
 	m := len(dst) / max(n, 1)
 	j := btJob{dst: dst, a: a, b: b, k: k, n: n, bt: [2]*[]float64{bt}}
-	if h := claim(m*k*n, (n+btTile-1)/btTile); h != nil { // items: tiles
+	if h := claim(m*k*n, n/4); h != nil { // items: groups of four columns
 		j.bt[1] = &h.tile
 		h.args.bt = j
-		h.run(&h.args.bt, (n/2+btTile/2)/btTile*btTile, n)
+		h.run(&h.args.bt, (n/2+2)&^3, n)
 		return
 	}
 	j.run(0, 0, n)
