@@ -26,11 +26,16 @@ func (a Activation) applyInto(dst, z *Matrix) {
 	actSplit(actJob{a: a, dst: dst.Data, z: z.Data})
 }
 
-// tanhCost and actCost are the time of one element's tanh, and of any
-// other activation or derivative, in multiply-adds of the row kernel:
-// math.Tanh takes ~20 ns and the rest ~1 ns, where the AVX2 row kernel
-// does ~7 multiply-adds per ns.
-const tanhCost, actCost = 128, 8
+// tanhCost and actCost weigh one element's tanh, and any other activation
+// or derivative, in multiply-adds of the row kernel for the split
+// threshold (BenchmarkNNKernelsTableII, AVX-512): the block kernel does
+// ~17 multiply-adds per ns, and the vector ReLU, its backward, tanh′ and
+// the bias passes 3.5–7 elements per ns, so ~4 each. math.Tanh takes
+// ~20 ns, ~340 multiply-adds, but tanhCost stays at 128: above 227 the
+// tanh of a service's micro-net update (48 steps × 24 columns), and above
+// 256 that of a 4-row rollout through a 256-wide layer, would cross the
+// threshold that keeps the serving paths serial.
+const tanhCost, actCost = 128, 4
 
 // actJob is an activation, or with back its derivative times the
 // upstream gradient z, over an element range.
@@ -69,11 +74,7 @@ func (a Activation) apply(dst, z []float64) {
 	case Identity:
 		copy(dst, z)
 	case ReLU:
-		// A mask clears the bits of negative inputs, with no branch to
-		// mispredict; −0 and NaN compare false and pass through.
-		for i, v := range z {
-			dst[i] = math.Float64frombits(math.Float64bits(v) &^ -b2u(v < 0))
-		}
+		reluApply(dst, z)
 	case Tanh:
 		for i, v := range z {
 			dst[i] = math.Tanh(v)
@@ -94,17 +95,9 @@ func (a Activation) backward(dst, dY, y []float64) {
 	case Identity:
 		copy(dst, dY)
 	case ReLU:
-		// dY·1 or dY·0, the factor selected by a mask rather than a
-		// branch. dY·0, not the constant 0: keeps zero signs and NaN
-		// propagation bit-identical to the Hadamard formulation.
-		one := math.Float64bits(1)
-		for i, v := range y {
-			dst[i] = dY[i] * math.Float64frombits(one&-b2u(v > 0))
-		}
+		reluBackward(dst, dY, y)
 	case Tanh:
-		for i, v := range y {
-			dst[i] = dY[i] * (1 - v*v)
-		}
+		tanhBackward(dst, dY, y)
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(a)))
 	}
@@ -164,10 +157,7 @@ func (d *Dense) Forward(x *Matrix) *Matrix {
 	}
 	MatMulInto(d.y, x, d.W)
 	for r := 0; r < d.y.Rows; r++ {
-		row := d.y.Data[r*d.y.Cols : (r+1)*d.y.Cols]
-		for c, bv := range d.B.Data {
-			row[c] += bv
-		}
+		addInto(d.y.Data[r*d.y.Cols:(r+1)*d.y.Cols], d.B.Data)
 	}
 	d.lastX = x
 	d.Act.applyInto(d.y, d.y)
@@ -190,11 +180,9 @@ func (d *Dense) backward(dY *Matrix, inCols int) *Matrix {
 	dZ := d.y
 	d.Act.backwardInto(dZ, dY, d.y)
 	matMulATAddInto(d.gradW, d.lastX, dZ, &d.acc)
-	// Bias gradient: column sums of dZ.
+	// Bias gradient: column sums of dZ, row by row.
 	for r := 0; r < dZ.Rows; r++ {
-		for c := 0; c < dZ.Cols; c++ {
-			d.gradB.Data[c] += dZ.Data[r*dZ.Cols+c]
-		}
+		addInto(d.gradB.Data, dZ.Data[r*dZ.Cols:(r+1)*dZ.Cols])
 	}
 	// Row j of W yields column j of dZ·Wᵀ, so the first inCols rows give
 	// the first inCols columns, each computed as in the full product.

@@ -108,10 +108,10 @@ func (l *GCNLayer) Params() []Param {
 // two orders. Column c of block b holds the entries cOff[b·f+c] ≤ e <
 // cOff[b·f+c+1], with row index cIdx[e] (increasing) and value cVal[e];
 // row r holds rOff[b·n+r] ≤ e < rOff[b·n+r+1], with column index rIdx[e]
-// (increasing) and value rVal[e]. Each output row of a product with a
-// block, or with its transpose, is one rowSparse call over one row, or
-// column, of entries: it visits exactly the nonzero elements a dense
-// zero-skipping kernel multiplies, in the same order per output.
+// (increasing) and value rVal[e]. A product with a block, or with its
+// transpose, is one sparseRows call over the block's rows, or columns, of
+// entries: each output row visits exactly the nonzero elements a dense
+// zero-skipping kernel multiplies, in the same order.
 type sparseBlocks struct {
 	n, f       int
 	cOff, rOff []int32
@@ -157,22 +157,16 @@ func (s *sparseBlocks) appendBlock(m []float64) {
 // block. Each element's sum is the same whichever columns of w it is
 // computed with.
 func (s *sparseBlocks) mulInto(dst []float64, b int, w []float64, k, ldw int) {
-	for r := 0; r < s.n; r++ {
-		e0, e1 := s.rOff[b*s.n+r], s.rOff[b*s.n+r+1]
-		rowSparse(dst[r*k:(r+1)*k], s.rVal[e0:e1], s.rIdx[e0:e1], w, ldw)
-	}
+	sparseRows(dst, k, k, s.rOff[b*s.n:(b+1)*s.n+1], s.rVal, s.rIdx, s.f, w, ldw, false, nil)
 }
 
-// atAdd adds rows [lo, hi) of (block b)ᵀ × dZ (n×k) into dst (f×k), one
-// row of the product at a time through the scratch row (at least k long):
-// atAddRows on the dense block.
+// atAdd adds rows [lo, hi) of (block b)ᵀ × dZ (n×k) into dst (f×k), each
+// row of the product summed and then added once: atAddRows on the dense
+// block. The scratch row (at least k long) serves the kernels that sum a
+// row apart from adding it; the AVX-512 kernel adds each finished sum
+// straight into dst.
 func (s *sparseBlocks) atAdd(dst []float64, b int, dZ []float64, k int, row []float64, lo, hi int) {
-	row = row[:k]
-	for c := lo; c < hi; c++ {
-		e0, e1 := s.cOff[b*s.f+c], s.cOff[b*s.f+c+1]
-		rowSparse(row, s.cVal[e0:e1], s.cIdx[e0:e1], dZ, k)
-		addInto(dst[c*k:(c+1)*k], row)
-	}
+	sparseRows(dst[lo*k:], k, k, s.cOff[b*s.f+lo:b*s.f+hi+1], s.cVal, s.cIdx, s.n, dZ, k, true, row)
 }
 
 // GCN is a stack of GCN layers over a per-observation propagation operator.

@@ -40,8 +40,9 @@ var hasAVX512 = hasAVX2 && func() bool {
 // it to run each path.
 var useAsm = hasAVX2 && !raceflag.Enabled
 
-// useAVX512 adds, where useAsm holds, the AVX-512 row-block products. The
-// kernel tests flip it to run each path.
+// useAVX512 adds, where useAsm holds, the AVX-512 row-block products, the
+// per-block sparse products and the element-wise passes. The kernel tests
+// flip it to run each path.
 var useAVX512 = useAsm && hasAVX512
 
 //go:noescape
@@ -58,6 +59,21 @@ func rows4AVX512(dst *float64, ldd, n int, a *float64, k, astride, rstride int, 
 
 //go:noescape
 func narrow8AVX512(dst *float64, ldd, n int, a *float64, k, astride, rstride int, b *float64, ldb int)
+
+//go:noescape
+func reluAVX512(dst, z *float64, n int)
+
+//go:noescape
+func reluBackAVX512(dst, dY, y *float64, n int)
+
+//go:noescape
+func tanhBackAVX512(dst, dY, y *float64, n int)
+
+//go:noescape
+func addAVX512(dst, src *float64, n int)
+
+//go:noescape
+func sparseRowsAVX512(dst *float64, ldd, n int, off *int32, rows int, val *float64, idx *uint32, b *float64, ldb int, add bool)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -154,4 +170,68 @@ func adamUpdate(p, g, m, v []float64, c *adamCoef) {
 	if n < len(p) {
 		adamGo(p[n:], g[n:], m[n:], v[n:], c)
 	}
+}
+
+// sparseRowsAsm runs sparseRows in one AVX-512 call, and reports whether
+// it did: only where the AVX-512 kernels are in use. sparseRows, its only
+// caller, has checked the operands and that there are rows and columns.
+func sparseRowsAsm(dst []float64, ldd, n int, off []int32, val []float64, idx []uint32, b []float64, ldb int, add bool) bool {
+	if !useAVX512 {
+		return false
+	}
+	var v *float64
+	var ix *uint32
+	if len(val) > 0 { // an empty store leaves every row without entries
+		v, ix = &val[0], &idx[0]
+	}
+	var bp *float64
+	if len(b) > 0 {
+		bp = &b[0]
+	}
+	sparseRowsAVX512(&dst[0], ldd, n, &off[0], len(off)-1, v, ix, bp, ldb, add)
+	return true
+}
+
+// reluApply is reluGo, eight elements at a time where the AVX-512
+// kernels are in use.
+func reluApply(dst, z []float64) {
+	dst = dst[:len(z)]
+	if !useAVX512 || len(z) == 0 {
+		reluGo(dst, z)
+		return
+	}
+	reluAVX512(&dst[0], &z[0], len(z))
+}
+
+// reluBackward is reluBackGo, eight elements at a time where the AVX-512
+// kernels are in use.
+func reluBackward(dst, dY, y []float64) {
+	dY, y = dY[:len(dst)], y[:len(dst)]
+	if !useAVX512 || len(dst) == 0 {
+		reluBackGo(dst, dY, y)
+		return
+	}
+	reluBackAVX512(&dst[0], &dY[0], &y[0], len(dst))
+}
+
+// tanhBackward is tanhBackGo, eight elements at a time where the AVX-512
+// kernels are in use.
+func tanhBackward(dst, dY, y []float64) {
+	dY, y = dY[:len(dst)], y[:len(dst)]
+	if !useAVX512 || len(dst) == 0 {
+		tanhBackGo(dst, dY, y)
+		return
+	}
+	tanhBackAVX512(&dst[0], &dY[0], &y[0], len(dst))
+}
+
+// addInto adds src[i] into dst[i] for i < len(dst): addGo, eight elements
+// at a time where the AVX-512 kernels are in use.
+func addInto(dst, src []float64) {
+	src = src[:len(dst)]
+	if !useAVX512 || len(dst) == 0 {
+		addGo(dst, src)
+		return
+	}
+	addAVX512(&dst[0], &src[0], len(dst))
 }

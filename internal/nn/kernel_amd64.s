@@ -586,3 +586,301 @@ nstore:
 ndone:
 	VZEROUPPER
 	RET
+
+// Element-wise AVX-512 kernels. Each walks n elements eight at a time and
+// runs the last n mod 8 once more under K2, the tail mask: masked loads
+// read, and masked stores write, no element past n. Every lane performs
+// its element's operations of the Go loop in kernel.go, in that order.
+
+// TAIL_MASK sets k to the lanes of the CX < 8 elements left.
+#define TAIL_MASK(k) MOVL $1, AX; SHLL CX, AX; DECL AX; KMOVW AX, k
+
+// ONE broadcasts 1.0 into z.
+#define ONE(z) MOVQ $0x3ff0000000000000, AX; VPBROADCASTQ AX, z
+
+// RELU computes ReLU of the elements at (SI) into (DI) in the lanes of k:
+// K1 holds the lanes where !(z < 0) (predicate 5, NLT_UQ: z ≥ 0, −0 or
+// NaN), which a zero-masked move keeps; the others become +0.
+#define RELU(k) VMOVUPD.Z (SI), k, Z0; VCMPPD $5, Z31, Z0, K1; VMOVUPD.Z Z0, K1, Z0; VMOVUPD Z0, k, (DI)
+
+// func reluAVX512(dst, z *float64, n int)
+//
+// dst[i] = z[i] if !(z[i] < 0), else +0, for i < n: reluGo. n > 0; dst
+// may be z.
+TEXT ·reluAVX512(SB), NOSPLIT, $0-24
+	MOVQ   dst+0(FP), DI
+	MOVQ   z+8(FP), SI
+	MOVQ   n+16(FP), CX
+	VPXORQ Z31, Z31, Z31
+	KXNORW K7, K7, K7
+
+relu8:
+	CMPQ   CX, $8
+	JLT    relutail
+	RELU(K7)
+	ADDQ   $64, SI
+	ADDQ   $64, DI
+	SUBQ   $8, CX
+	JMP    relu8
+
+relutail:
+	TESTQ  CX, CX
+	JEQ    reludone
+	TAIL_MASK(K2)
+	RELU(K2)
+
+reludone:
+	VZEROUPPER
+	RET
+
+// RELU_BACK computes dY·1 or dY·0 into (DI) in the lanes of k, the factor
+// a 1.0 (Z30) moved under K1, the lanes where y > 0 (predicate 30, GT_OQ:
+// false for ±0, negatives and NaN), and +0 elsewhere. The product, not a
+// zeroing, keeps the signs of dY·0 and its NaN.
+#define RELU_BACK(k) VMOVUPD.Z (BX), k, Z0; VCMPPD $30, Z31, Z0, K1; VMOVUPD.Z Z30, K1, Z1; VMOVUPD.Z (SI), k, Z2; VMULPD Z1, Z2, Z2; VMOVUPD Z2, k, (DI)
+
+// func reluBackAVX512(dst, dY, y *float64, n int)
+//
+// dst[i] = dY[i]·(1 if y[i] > 0, else +0) for i < n: reluBackGo. n > 0;
+// dst may be dY or y.
+TEXT ·reluBackAVX512(SB), NOSPLIT, $0-32
+	MOVQ   dst+0(FP), DI
+	MOVQ   dY+8(FP), SI
+	MOVQ   y+16(FP), BX
+	MOVQ   n+24(FP), CX
+	VPXORQ Z31, Z31, Z31
+	ONE(Z30)
+	KXNORW K7, K7, K7
+
+rback8:
+	CMPQ   CX, $8
+	JLT    rbacktail
+	RELU_BACK(K7)
+	ADDQ   $64, SI
+	ADDQ   $64, BX
+	ADDQ   $64, DI
+	SUBQ   $8, CX
+	JMP    rback8
+
+rbacktail:
+	TESTQ  CX, CX
+	JEQ    rbackdone
+	TAIL_MASK(K2)
+	RELU_BACK(K2)
+
+rbackdone:
+	VZEROUPPER
+	RET
+
+// TANH_BACK computes dY·(1 − y·y) into (DI) in the lanes of k: VMULPD,
+// VSUBPD from 1.0 (Z30), VMULPD, with no fused multiply-add.
+#define TANH_BACK(k) VMOVUPD.Z (BX), k, Z0; VMULPD Z0, Z0, Z0; VSUBPD Z0, Z30, Z0; VMOVUPD.Z (SI), k, Z2; VMULPD Z0, Z2, Z2; VMOVUPD Z2, k, (DI)
+
+// func tanhBackAVX512(dst, dY, y *float64, n int)
+//
+// dst[i] = dY[i]·(1 − y[i]·y[i]) for i < n: tanhBackGo. n > 0; dst may be
+// dY or y.
+TEXT ·tanhBackAVX512(SB), NOSPLIT, $0-32
+	MOVQ   dst+0(FP), DI
+	MOVQ   dY+8(FP), SI
+	MOVQ   y+16(FP), BX
+	MOVQ   n+24(FP), CX
+	ONE(Z30)
+	KXNORW K7, K7, K7
+
+tback8:
+	CMPQ   CX, $8
+	JLT    tbacktail
+	TANH_BACK(K7)
+	ADDQ   $64, SI
+	ADDQ   $64, BX
+	ADDQ   $64, DI
+	SUBQ   $8, CX
+	JMP    tback8
+
+tbacktail:
+	TESTQ  CX, CX
+	JEQ    tbackdone
+	TAIL_MASK(K2)
+	TANH_BACK(K2)
+
+tbackdone:
+	VZEROUPPER
+	RET
+
+// ADD adds the elements at (SI) into those at (DI) in the lanes of k.
+#define ADD(k) VMOVUPD.Z (DI), k, Z0; VMOVUPD.Z (SI), k, Z1; VADDPD Z1, Z0, Z0; VMOVUPD Z0, k, (DI)
+
+// func addAVX512(dst, src *float64, n int)
+//
+// dst[i] += src[i] for i < n: addGo. n > 0.
+TEXT ·addAVX512(SB), NOSPLIT, $0-24
+	MOVQ   dst+0(FP), DI
+	MOVQ   src+8(FP), SI
+	MOVQ   n+16(FP), CX
+	KXNORW K7, K7, K7
+
+add8:
+	CMPQ   CX, $8
+	JLT    addtail
+	ADD(K7)
+	ADDQ   $64, SI
+	ADDQ   $64, DI
+	SUBQ   $8, CX
+	JMP    add8
+
+addtail:
+	TESTQ  CX, CX
+	JEQ    adddone
+	TAIL_MASK(K2)
+	ADD(K2)
+
+adddone:
+	VZEROUPPER
+	RET
+
+// Per-block sparse kernel building blocks. R9 walks off, one int32 per
+// row; AX walks a row's entries from off[r] up to CX = off[r+1]; SI holds
+// val and BX idx; R12 walks the columns of b (rows R11 bytes apart), DI
+// those of dst, and R13 counts the columns left. SB_ENTRY broadcasts entry
+// AX's value into Z8 and points DX at its row of b.
+#define SB_ROWS MOVLQSX (R9), AX; MOVLQSX 4(R9), CX
+#define SB_ENTRY VBROADCASTSD (SI)(AX*8), Z8; MOVLQZX (BX)(AX*4), DX; IMULQ R11, DX; ADDQ R12, DX
+#define SB_NEXT(loop) INCQ AX; CMPQ AX, CX; JLT loop
+
+// SBMADD adds the product of the b vector at off(DX) and the value into
+// acc, with b first in the product and the product first in the sum.
+#define SBMADD(off, acc) VMOVUPD off(DX), Z9; VMULPD Z8, Z9, Z9; VADDPD acc, Z9, acc
+
+// func sparseRowsAVX512(dst *float64, ldd, n int, off *int32, rows int, val *float64, idx *uint32, b *float64, ldb int, add bool)
+//
+// For each row r < rows and j < n, the sum Σ val[e]·b[idx[e]·ldb+j] over
+// off[r] ≤ e < off[r+1], from +0 in e order, is stored in dst[r·ldd+j],
+// or with add added to it: rowSparseAVX2 over a block of rows, in one
+// call. rows > 0 and n > 0. Columns go in tiles of 32 (4 accumulator
+// chains), then one of 16, then tiles of 8 whose last one masks its loads
+// and stores to the columns left. A row without entries stores +0 (adds
+// +0), as the Go loop does.
+TEXT ·sparseRowsAVX512(SB), NOSPLIT, $0-73
+	MOVQ   dst+0(FP), DI
+	MOVQ   ldd+8(FP), R8
+	MOVQ   n+16(FP), R13
+	MOVQ   off+24(FP), R9
+	MOVQ   rows+32(FP), R10
+	MOVQ   val+40(FP), SI
+	MOVQ   idx+48(FP), BX
+	MOVQ   ldb+64(FP), R11
+	SUBQ   R13, R8
+	SHLQ   $3, R8  // the bytes from the end of one dst row to the next
+	SHLQ   $3, R11
+
+sbrow:
+	MOVQ   b+56(FP), R12
+	MOVQ   n+16(FP), R13
+
+sbtile32:
+	CMPQ   R13, $32
+	JLT    sbtile16
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	SB_ROWS
+	CMPQ   AX, CX
+	JGE    sbstore32
+
+sbloop32:
+	SB_ENTRY
+	SBMADD(0, Z0)
+	SBMADD(64, Z1)
+	SBMADD(128, Z2)
+	SBMADD(192, Z3)
+	SB_NEXT(sbloop32)
+
+sbstore32:
+	CMPB   add+72(FP), $0
+	JEQ    sbput32
+	VADDPD (DI), Z0, Z0
+	VADDPD 64(DI), Z1, Z1
+	VADDPD 128(DI), Z2, Z2
+	VADDPD 192(DI), Z3, Z3
+
+sbput32:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	ADDQ   $256, DI
+	ADDQ   $256, R12
+	SUBQ   $32, R13
+	JMP    sbtile32
+
+sbtile16:
+	CMPQ   R13, $16
+	JLT    sbtile8
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	SB_ROWS
+	CMPQ   AX, CX
+	JGE    sbstore16
+
+sbloop16:
+	SB_ENTRY
+	SBMADD(0, Z0)
+	SBMADD(64, Z1)
+	SB_NEXT(sbloop16)
+
+sbstore16:
+	CMPB   add+72(FP), $0
+	JEQ    sbput16
+	VADDPD (DI), Z0, Z0
+	VADDPD 64(DI), Z1, Z1
+
+sbput16:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	ADDQ   $128, DI
+	ADDQ   $128, R12
+	SUBQ   $16, R13
+
+sbtile8:
+	TESTQ  R13, R13
+	JLE    sbrownext
+	MOVQ   R13, CX
+	TAIL_MASK(K1) // the columns left, up to 8 (R13 < 16)
+	VPXORQ Z0, Z0, Z0
+	SB_ROWS
+	CMPQ   AX, CX
+	JGE    sbstore8
+
+sbloop8:
+	SB_ENTRY
+	VMOVUPD.Z (DX), K1, Z9
+	VMULPD Z8, Z9, Z9
+	VADDPD Z0, Z9, Z0
+	SB_NEXT(sbloop8)
+
+sbstore8:
+	CMPB   add+72(FP), $0
+	JEQ    sbput8
+	VMOVUPD.Z (DI), K1, Z9
+	VADDPD Z9, Z0, Z0
+
+sbput8:
+	VMOVUPD Z0, K1, (DI)
+	MOVQ   R13, AX
+	CMPQ   AX, $8
+	JLE    2(PC)
+	MOVQ   $8, AX
+	LEAQ   (DI)(AX*8), DI
+	LEAQ   (R12)(AX*8), R12
+	SUBQ   AX, R13
+	JMP    sbtile8
+
+sbrownext:
+	ADDQ   R8, DI
+	ADDQ   $4, R9
+	DECQ   R10
+	JNE    sbrow
+	VZEROUPPER
+	RET

@@ -24,8 +24,9 @@ func selectTier(kt kernelTier) (restore func()) {
 }
 
 // checkKernels compares the tiers on every product of the package for an
-// m×k by k×n shape whose operands come from r (ldb ≥ n pads b's rows), and
-// on an Adam step over n parameters.
+// m×k by k×n shape whose operands come from r (ldb ≥ n pads b's rows), on
+// the element-wise passes over n elements, and on an Adam step over n
+// parameters.
 func checkKernels(t *testing.T, tiers []kernelTier, r *kernelValues, m, k, n, ldb int) {
 	t.Helper()
 	shape := fmt.Sprintf("m=%d k=%d n=%d ldb=%d", m, k, n, ldb)
@@ -72,20 +73,59 @@ func checkKernels(t *testing.T, tiers []kernelTier, r *kernelValues, m, k, n, ld
 		return [][]float64{dst}
 	})
 
-	// sparseBlocks: a stored as one m×k block, times b, and its transpose
-	// times c added into dst.
+	// sparseBlocks: a stored as block 0 and, with a row and a column
+	// cleared, as block 1, so that rows and columns without entries occur.
+	// Each block times b, also with b's rows padded to ldb, and its
+	// transpose times c added into dst, over every column of the block and
+	// over those past the first.
+	az := append([]float64(nil), a...)
+	if k > 0 {
+		clear(az[m/2*k : (m/2+1)*k])
+		for i := 0; i < m; i++ {
+			az[i*k+k/2] = 0
+		}
+	}
 	var s sparseBlocks
-	s.reset(m, k, m*k)
+	s.reset(m, k, 2*m*k)
 	s.appendBlock(a)
-	same("sparseBlocks.mulInto", func() [][]float64 {
-		dst := r.fill(m * n)
-		s.mulInto(dst, 0, b, n, n)
-		return [][]float64{dst}
-	})
+	s.appendBlock(az)
+	bp := r.fill(max(k-1, 0)*ldb + n)
 	dst1 := r.fill(k * n)
-	same("sparseBlocks.atAdd", func() [][]float64 {
-		dst := append([]float64(nil), dst1...)
-		s.atAdd(dst, 0, c, n, make([]float64, n), 0, k)
+	for blk := 0; blk < 2; blk++ {
+		same(fmt.Sprintf("sparseBlocks.mulInto block %d", blk), func() [][]float64 {
+			dst, dstp := r.fill(m*n), r.fill(m*n)
+			s.mulInto(dst, blk, b, n, n)
+			s.mulInto(dstp, blk, bp, n, ldb)
+			return [][]float64{dst, dstp}
+		})
+		same(fmt.Sprintf("sparseBlocks.atAdd block %d", blk), func() [][]float64 {
+			dst, part := append([]float64(nil), dst1...), append([]float64(nil), dst1...)
+			s.atAdd(dst, blk, c, n, make([]float64, n), 0, k)
+			s.atAdd(part, blk, c, n, make([]float64, n), min(1, k), k)
+			return [][]float64{dst, part}
+		})
+	}
+
+	// The element-wise passes over n elements: ReLU and tanh, and their
+	// derivatives over raw values and, in place, over the activations, as
+	// the layers run them; and addInto.
+	z, dy := r.fill(n), r.fill(n)
+	for _, act := range []struct {
+		name string
+		a    Activation
+	}{{"relu", ReLU}, {"tanh", Tanh}} {
+		same(act.name+" apply and backward", func() [][]float64 {
+			y, raw := append([]float64(nil), z...), make([]float64, n)
+			act.a.apply(y, y)
+			act.a.backward(raw, dy, z)
+			back := append([]float64(nil), y...)
+			act.a.backward(back, dy, back)
+			return [][]float64{y, raw, back}
+		})
+	}
+	same("addInto", func() [][]float64 {
+		dst := append([]float64(nil), z...)
+		addInto(dst, dy)
 		return [][]float64{dst}
 	})
 
@@ -101,10 +141,11 @@ func checkKernels(t *testing.T, tiers []kernelTier, r *kernelValues, m, k, n, ld
 }
 
 // TestKernelsMatchGoBitForBit covers every tail length 0–67 (the vector
-// tiles, the AVX-512 masked tile and the Go tail of up to 3 columns); row
-// counts short of, at and past the four- and eight-row blocks; k = 0
-// (empty products), k = 1 and more steps; padded b rows; and operands
-// laced with ±0, NaN, ±Inf, subnormals and zero a elements.
+// tiles, the AVX-512 masked tiles and the Go tail of up to 3 columns), of
+// the products and of the element-wise passes; row counts short of, at
+// and past the four- and eight-row blocks; k = 0 (empty products), k = 1
+// and more steps; padded b rows; sparse rows and columns without entries;
+// and operands laced with ±0, NaN, ±Inf, subnormals and zero a elements.
 func TestKernelsMatchGoBitForBit(t *testing.T) {
 	tiers := availableTiers(t)
 	if len(tiers) < 2 {

@@ -15,6 +15,23 @@ func rowSparse(dst, val []float64, idx []uint32, b []float64, ldb int) {
 	rowSparseGo(dst, val, idx, b, ldb)
 }
 
+// sparseRowsAsm runs nothing: sparseRows calls rowSparse per row.
+func sparseRowsAsm(dst []float64, ldd, n int, off []int32, val []float64, idx []uint32, b []float64, ldb int, add bool) bool {
+	return false
+}
+
+// reluApply is reluGo.
+func reluApply(dst, z []float64) { reluGo(dst, z) }
+
+// reluBackward is reluBackGo.
+func reluBackward(dst, dY, y []float64) { reluBackGo(dst, dY, y) }
+
+// tanhBackward is tanhBackGo.
+func tanhBackward(dst, dY, y []float64) { tanhBackGo(dst, dY, y) }
+
+// addInto is addGo.
+func addInto(dst, src []float64) { addGo(dst, src) }
+
 // adamUpdate is adamGo.
 func adamUpdate(p, g, m, v []float64, c *adamCoef) { adamGo(p, g, m, v, c) }
 

@@ -106,14 +106,16 @@ func reluSlice(rng *rand.Rand, n int) []float64 {
 
 // BenchmarkNNKernelsTableII times the three dense products of one MLP layer
 // of the PPO update — the forward x·W, the weight gradient xᵀ·dZ and the
-// input gradient dZ·Wᵀ —, the critic head's 1-wide forward and weight
-// gradient, and the products of the GCN trunk: the first
-// layer's sparse Ŝ·X·W and its weight gradient, the sparse Ŝ·H of the
-// layers past the first, the 32→2 embedding product and its weight
-// gradient, the ReLU apply and backward (these three over a batch of
-// observations), and the first MLP layer's input gradient over the
-// embedding columns. It reports multiply-adds (for ReLU, elements) per
-// nanosecond; a sparse product counts those of its dense form. The
+// input gradient dZ·Wᵀ —, a tanh layer's element-wise passes (tanh, its
+// derivative, the bias add and the bias gradient's column sums) and the
+// transpose of W, the critic head's 1-wide forward and weight gradient,
+// and the products of the GCN trunk: the first layer's sparse Ŝ·X·W and
+// its weight gradient, the sparse Ŝ·H of the layers past the first, the
+// 32→2 embedding product and its weight gradient, the ReLU apply and
+// backward (these three over a batch of observations), and the first MLP
+// layer's input gradient over the embedding columns. It reports
+// multiply-adds (for the element-wise passes and the transpose, elements)
+// per nanosecond; a sparse product counts those of its dense form. The
 // products run on one goroutine, unsplit: the rates are the kernels'.
 // Each name starts with the kernel tier it ran on (tier=go, avx2 or
 // avx512).
@@ -139,6 +141,39 @@ func BenchmarkNNKernelsTableII(b *testing.B) {
 			product{"forward/" + shape, madds, "madd/ns", func() { matMul(y, x, w, in, out) }},
 			product{"xTdZ/" + shape, madds, "madd/ns", func() { matMulATAdd(gradW, x, dZ, in, out, &acc) }},
 			product{"dZWT/" + shape, madds, "madd/ns", func() { matMulBT(dX, dZ, w, out, in, &wT) }},
+		)
+	}
+
+	// The element-wise passes of a 256-wide tanh layer over the batch:
+	// tanh and its derivative, the bias add and the bias gradient's column
+	// sums, one row at a time as Dense runs them; and the transpose of W
+	// that dZ·Wᵀ makes, btTile rows at a time.
+	{
+		out := tableIIShapes[1][1]
+		z, bias := randSlice(rng, tableIIBatch*out), randSlice(rng, out)
+		y, dY, dZ, gradB := make([]float64, len(z)), randSlice(rng, len(z)), make([]float64, len(z)), make([]float64, out)
+		Tanh.apply(y, z)
+		w, wT := randSlice(rng, out*out), make([]float64, out*btTile)
+		shape := fmt.Sprintf("%dx%d", tableIIBatch, out)
+		elems := tableIIBatch * out
+		products = append(products,
+			product{"tanhApply/" + shape, elems, "elem/ns", func() { Tanh.apply(dZ, z) }},
+			product{"tanhBackward/" + shape, elems, "elem/ns", func() { Tanh.backward(dZ, dY, y) }},
+			product{"biasAdd/" + shape, elems, "elem/ns", func() {
+				for r := 0; r < tableIIBatch; r++ {
+					addInto(dZ[r*out:(r+1)*out], bias)
+				}
+			}},
+			product{"biasGrad/" + shape, elems, "elem/ns", func() {
+				for r := 0; r < tableIIBatch; r++ {
+					addInto(gradB, dY[r*out:(r+1)*out])
+				}
+			}},
+			product{fmt.Sprintf("transpose/%dx%d", out, out), out * out, "elem/ns", func() {
+				for j0 := 0; j0 < out; j0 += btTile {
+					transpose(wT, w[j0*out:(j0+btTile)*out], btTile, out)
+				}
+			}},
 		)
 	}
 
@@ -422,7 +457,8 @@ func checkAgainstReference(t *testing.T, r *kernelValues, m, k, n, astride, ldb 
 // rows, with operands laced with ±0, NaN, ±Inf and subnormals; then on
 // fixed operands where every zero a element meets an Inf or NaN b element,
 // whose product must not reach the sum: rowNarrow, and the products of a
-// block of rows on every tier.
+// block of rows on every tier; and the ReLU apply and backward on ±0, NaN,
+// ±Inf and subnormals on every tier.
 func TestBranchFreeKernelsBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	tiers := availableTiers(t)
@@ -503,13 +539,57 @@ func TestBranchFreeKernelsBitForBit(t *testing.T) {
 		})
 	}
 
-	y := []float64{negZero, nan, -nan, inf, -inf, 5e-324, -5e-324, 0, 1, -1}
-	dY := []float64{inf, nan, 1, nan, -inf, negZero, inf, nan, negZero, -inf}
-	want, got := make([]float64, len(y)), make([]float64, len(y))
-	reluApplyBranchy(want, y)
-	ReLU.apply(got, y)
-	sameBits(t, "relu apply on special values", want, got)
-	reluBackwardBranchy(want, dY, y)
-	ReLU.backward(got, dY, y)
-	sameBits(t, "relu backward on special values", want, got)
+	// Special values in the eight-lane body and the masked tail of the
+	// vector kernels, against the branchy loops and across the tiers.
+	y := []float64{negZero, nan, -nan, inf, -inf, 5e-324, -5e-324, 0, 1, -1, negZero, nan}
+	dY := []float64{inf, nan, 1, nan, -inf, negZero, inf, nan, negZero, -inf, -inf, negZero}
+	sameOnTiers(t, tiers, "relu on special values", func() [][]float64 {
+		want, apply, back := make([]float64, len(y)), make([]float64, len(y)), make([]float64, len(y))
+		reluApplyBranchy(want, y)
+		ReLU.apply(apply, y)
+		sameBits(t, "relu apply on special values on "+selectedTier(), want, apply)
+		reluBackwardBranchy(want, dY, y)
+		ReLU.backward(back, dY, y)
+		sameBits(t, "relu backward on special values on "+selectedTier(), want, back)
+		return [][]float64{apply, back}
+	})
+}
+
+// TestSparseBlocksPanicOnShortOperand holds the sparse products' bounds
+// check, made once per block against the store's shape, to the memory
+// safety a check per row gave: on every tier, mulInto and atAdd panic
+// before any kernel reads or writes when w, dZ or dst is one element
+// shorter than the block's shape needs.
+func TestSparseBlocksPanicOnShortOperand(t *testing.T) {
+	const n, f, k, ldw = 5, 4, 9, 11
+	blk := make([]float64, n*f)
+	for i := range blk {
+		blk[i] = float64(i + 1) // every row and column has entries
+	}
+	var s sparseBlocks
+	s.reset(n, f, n*f)
+	s.appendBlock(blk)
+	s.appendBlock(blk)
+	w, dZ := make([]float64, (f-1)*ldw+k), make([]float64, n*k)
+	for _, kt := range availableTiers(t) {
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"mulInto, w short", func() { s.mulInto(make([]float64, n*k), 1, w[:len(w)-1], k, ldw) }},
+			{"mulInto, dst short", func() { s.mulInto(make([]float64, n*k-1), 1, w, k, ldw) }},
+			{"atAdd, dZ short", func() { s.atAdd(make([]float64, f*k), 1, dZ[:len(dZ)-1], k, make([]float64, k), 0, f) }},
+			{"atAdd, dst short", func() { s.atAdd(make([]float64, f*k-1), 1, dZ, k, make([]float64, k), 1, f) }},
+		} {
+			func() {
+				defer selectTier(kt)()
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s on %s: no panic", c.name, kt.name)
+					}
+				}()
+				c.run()
+			}()
+		}
+	}
 }

@@ -201,14 +201,6 @@ func atAddRows(dst, a, b []float64, m, n int, scratch []float64, lo, hi int) {
 	}
 }
 
-// addInto adds src[j] into dst[j] for j < len(dst).
-func addInto(dst, src []float64) {
-	src = src[:len(dst)]
-	for j, v := range src {
-		dst[j] += v
-	}
-}
-
 // matMulBTInto computes dst = a×bᵀ. Each element is the dot product of a
 // row of a with a row of b, summed over k in order from zero and skipping
 // zero elements of a — the operation sequence of MatMulInto of a and the
