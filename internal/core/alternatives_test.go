@@ -47,72 +47,6 @@ func TestPerFlowEncodingPlannerSmoke(t *testing.T) {
 	}
 }
 
-func TestSolutionBonusAddsToReward(t *testing.T) {
-	prob := tinyProblem(t)
-	cfg := tinyConfig()
-	cfg.SolutionBonus = 2.5
-	envBonus, err := NewEnvWithCache(prob, cfg, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPlain := tinyConfig()
-	envPlain, err := NewEnvWithCache(prob, cfgPlain, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drive both environments with the identical greedy policy until a
-	// solution; the final rewards must differ by exactly the bonus.
-	drive := func(env *Env) float64 {
-		upgrades := map[int]int{}
-		for step := 0; step < 200; step++ {
-			set := env.Actions()
-			choice := -1
-			for i := 0; i < 2; i++ {
-				if set.Mask[i] && upgrades[i] < 3 {
-					choice = i
-					break
-				}
-			}
-			if choice == -1 {
-				for i := 2; i < set.Size(); i++ {
-					if set.Mask[i] {
-						choice = i
-						break
-					}
-				}
-			}
-			if choice == -1 {
-				for i := 0; i < set.Size(); i++ {
-					if set.Mask[i] {
-						choice = i
-						break
-					}
-				}
-			}
-			if choice < 2 {
-				upgrades[choice]++
-			}
-			r, outcome, err := env.Step(choice)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if outcome == OutcomeSolved {
-				return r
-			}
-			if outcome == OutcomeDeadEnd {
-				upgrades = map[int]int{}
-			}
-		}
-		t.Fatal("no solution reached")
-		return 0
-	}
-	rBonus := drive(envBonus)
-	rPlain := drive(envPlain)
-	if math.Abs((rBonus-rPlain)-2.5) > 1e-12 {
-		t.Fatalf("bonus delta = %v, want 2.5", rBonus-rPlain)
-	}
-}
-
 func TestGATTrunkForwardBackward(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := tinyConfig()

@@ -44,7 +44,9 @@ type WorkerState struct {
 // fingerprint digests everything that shapes the training trajectory: the
 // problem geometry and every configuration field that influences
 // exploration or updates. MaxEpoch is deliberately excluded so a resumed
-// run may extend the horizon.
+// run may extend the horizon. The literal bonus=0 term stands for the
+// positive solution reward, which is no longer configurable; it stays so
+// that checkpoints written while it was still resume.
 func (p *Planner) fingerprint() string {
 	// The warm seed shapes every environment reset, so a checkpoint taken
 	// under one seed must not resume a run under another (or none). The
@@ -64,14 +66,14 @@ func (p *Planner) fingerprint() string {
 		"nptsn-ckpt|prob:v=%d,e=%d,f=%d,r=%g,esd=%d,esl=%d,flr=%t|"+
 			"cfg:gcn=%d/%d/%d,gat=%t,mlp=%v,k=%d,steps=%d,scale=%g,clip=%g,"+
 			"alr=%g,clr=%g,lam=%g,gamma=%g,pi=%d,vi=%d,kl=%g,workers=%d,seed=%d,"+
-			"nomask=%t,bonus=%g,perflow=%t,exh=%t,retries=%d",
+			"nomask=%t,bonus=0,perflow=%t,exh=%t,retries=%d",
 		p.prob.NumVertices(), p.prob.Connections.NumEdges(), len(p.prob.Flows),
 		p.prob.ReliabilityGoal, p.prob.MaxESDegree, int(p.prob.ESLevel), p.prob.FlowLevelRedundancy,
 		p.cfg.GCNLayers, p.cfg.GCNHidden, p.cfg.EmbeddingPerNode, p.cfg.UseGAT,
 		p.cfg.MLPHidden, p.cfg.K, p.cfg.MaxStep, p.cfg.RewardScale, p.cfg.ClipRatio,
 		p.cfg.ActorLR, p.cfg.CriticLR, p.cfg.GAELambda, p.cfg.Discount,
 		p.cfg.TrainPiIters, p.cfg.TrainVIters, p.cfg.TargetKL, p.cfg.Workers, p.cfg.Seed,
-		p.cfg.DisableSOAGMasking, p.cfg.SolutionBonus, p.cfg.PerFlowEncoding,
+		p.cfg.DisableSOAGMasking, p.cfg.PerFlowEncoding,
 		p.cfg.ExhaustivePathGeneration, p.cfg.DivergenceRetries,
 	) + warm
 }

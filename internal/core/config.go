@@ -60,11 +60,6 @@ type Config struct {
 	Seed int64
 	// DisableSOAGMasking is the SOAG-pruning ablation switch.
 	DisableSOAGMasking bool
-	// SolutionBonus adds a positive reward when a valid solution is
-	// recorded — the §IV-C alternative reward design ("giving positive
-	// rewards for valid solutions is an alternative and leads to similar
-	// training results"). Zero (the default) is the paper's main design.
-	SolutionBonus float64
 	// PerFlowEncoding switches the flow features to the §IV-C alternative
 	// |Vc|×|FS| encoding (one column per flow, source = 1, destination =
 	// 2) instead of the default |Vc|×|Ves| path-count matrix. Less

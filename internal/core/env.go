@@ -38,7 +38,6 @@ type Env struct {
 	analyzer *failure.Analyzer
 	enc      *Encoder
 	scaler   float64
-	bonus    float64
 	src      *rng.Source
 	rng      *rand.Rand
 	// rngBeforeGen is the RNG state captured immediately before the last
@@ -110,7 +109,6 @@ func NewEnvWithCache(prob *Problem, cfg Config, seed int64, cache *failure.Cache
 		},
 		enc:    NewEncoderWithOptions(prob, cfg.K, cfg.PerFlowEncoding),
 		scaler: cfg.RewardScale,
-		bonus:  cfg.SolutionBonus,
 		src:    src,
 		rng:    rand.New(src),
 		state:  NewTSSDN(prob),
@@ -263,7 +261,7 @@ func (e *Env) StepContext(ctx context.Context, idx int) (float64, StepOutcome, e
 		if err := e.reset(ctx); err != nil {
 			return 0, 0, err
 		}
-		return reward + e.bonus, OutcomeSolved, nil
+		return reward, OutcomeSolved, nil
 	}
 	if e.actions.AllMasked() {
 		// No valid action remains: penalty and reset (line 14-16).

@@ -108,6 +108,25 @@ func TestCheckpointResumeReproducesRun(t *testing.T) {
 	}
 }
 
+// TestCheckpointFingerprintFormat pins the checkpoint fingerprint of the
+// default configuration on the tiny problem. Resume compares it as a
+// string, so any change to its terms or formatting orphans every saved
+// checkpoint: a change that makes this test fail needs a migration, not a
+// new expected value.
+func TestCheckpointFingerprintFormat(t *testing.T) {
+	pl, err := NewPlanner(tinyProblem(t), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "nptsn-ckpt|prob:v=6,e=9,f=3,r=1e-06,esd=2,esl=4,flr=false|" +
+		"cfg:gcn=2/32/2,gat=false,mlp=[256 256],k=16,steps=2048,scale=1000,clip=0.2," +
+		"alr=0.0003,clr=0.001,lam=0.97,gamma=0.99,pi=80,vi=80,kl=0.01,workers=1,seed=1," +
+		"nomask=false,bonus=0,perflow=false,exh=false,retries=3"
+	if got := pl.fingerprint(); got != want {
+		t.Fatalf("checkpoint fingerprint changed:\n got  %s\n want %s", got, want)
+	}
+}
+
 func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	prob := tinyProblem(t)
 	cfg := resilienceConfig()

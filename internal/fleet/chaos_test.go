@@ -117,8 +117,6 @@ func chaosOptions(sink obsv.Sink, transport http.RoundTripper) Options {
 		SuspectAfter:      75 * time.Millisecond,
 		DeadAfter:         150 * time.Millisecond,
 		CallTimeout:       2 * time.Second,
-		ClientRetries:     2,
-		ClientBackoff:     10 * time.Millisecond,
 		HTTP:              client,
 		Events:            sink,
 	}

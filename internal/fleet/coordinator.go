@@ -83,11 +83,6 @@ type Options struct {
 	// VirtualNodes is the consistent-hash ring's per-replica point count
 	// (default 128).
 	VirtualNodes int
-	// ClientRetries / ClientBackoff tune the per-replica service.Client
-	// (defaults 2 / 50ms). The coordinator keeps per-replica retries short:
-	// the ring fallback is the real retry.
-	ClientRetries int
-	ClientBackoff time.Duration
 	// HTTP is the shared transport for all replica calls; chaos drills
 	// wrap it in fault.Transport (http.DefaultClient when nil).
 	HTTP *http.Client
@@ -115,12 +110,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if opt.CallTimeout <= 0 {
 		opt.CallTimeout = 10 * time.Second
-	}
-	if opt.ClientRetries <= 0 {
-		opt.ClientRetries = 2
-	}
-	if opt.ClientBackoff <= 0 {
-		opt.ClientBackoff = 50 * time.Millisecond
 	}
 	return opt
 }
@@ -254,8 +243,6 @@ func (c *Coordinator) newClient(url string) *service.Client {
 	return &service.Client{
 		BaseURL:    url,
 		HTTP:       c.opt.HTTP,
-		Retries:    c.opt.ClientRetries,
-		Backoff:    c.opt.ClientBackoff,
 		MaxBackoff: c.opt.CallTimeout,
 	}
 }

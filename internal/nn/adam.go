@@ -70,9 +70,14 @@ func (a *Adam) Step(ps []Param) {
 	j.run(0, 0, total)
 }
 
-// adamCost is the time of one element's Adam step, in multiply-adds of
-// the row kernel: a square root and two divisions, ~1 ns per element on
-// the vector path, where the row kernel does ~7 multiply-adds.
+// adamCost weighs one element's Adam step in multiply-adds of the block
+// kernel, for the split decision only. The step is bound by a square root
+// and two divisions: BenchmarkNNKernelsTableII's adam/256x256 runs
+// 0.28 elements/ns (~3.5 ns each) on a 2-vCPU AVX-512 Xeon, where the
+// block kernel's forward/64x256x256 does ~14 multiply-adds/ns, so an
+// element costs ~50. The weight stays at 8, which underrates it: a
+// Table II step (~200k parameters) splits at either weight, and 8 keeps
+// the step serial for nets of up to 32,768 parameters.
 const adamCost = 8
 
 // adamJob is an Adam step over a range of the parameters' elements,

@@ -112,10 +112,10 @@ func reluSlice(rng *rand.Rand, n int) []float64 {
 // and the products of the GCN trunk: the first layer's sparse Ŝ·X·W and
 // its weight gradient, the sparse Ŝ·H of the layers past the first, the
 // 32→2 embedding product and its weight gradient, the ReLU apply and
-// backward (these three over a batch of observations), and the first MLP
-// layer's input gradient over the embedding columns. It reports
-// multiply-adds (for the element-wise passes and the transpose, elements)
-// per nanosecond; a sparse product counts those of its dense form. The
+// backward (these three over a batch of observations), the first MLP
+// layer's input gradient over the embedding columns, and one Adam step
+// over a 256×256 weight. It reports multiply-adds (for the element-wise
+// passes, the transpose and Adam, elements) per nanosecond; a sparse product counts those of its dense form. The
 // products run on one goroutine, unsplit: the rates are the kernels'.
 // Each name starts with the kernel tier it ran on (tier=go, avx2 or
 // avx512).
@@ -266,6 +266,14 @@ func BenchmarkNNKernelsTableII(b *testing.B) {
 			ReLU.backward(dH, dY[b*blk:(b+1)*blk], h[b*blk:(b+1)*blk])
 		})},
 	)
+
+	// One Adam step over a 256×256 weight, element by element.
+	{
+		n := tableIIShapes[1][1] * tableIIShapes[1][1]
+		p, g, m, v := randSlice(rng, n), randSlice(rng, n), make([]float64, n), make([]float64, n)
+		c := adamCoef{b1: 0.9, c1: 1 - 0.9, b2: 0.999, c2: 1 - 0.999, bc1: 0.1, bc2: 0.001, lr: 3e-4, eps: 1e-8}
+		products = append(products, product{fmt.Sprintf("adam/%dx%d", tableIIShapes[1][1], tableIIShapes[1][1]), n, "elem/ns", func() { adamUpdate(p, g, m, v, &c) }})
+	}
 
 	tier := "tier=" + selectedTier() + "/"
 	for _, p := range products {

@@ -10,10 +10,10 @@ import (
 
 // ChurnTrace is a base problem spec plus a sequence of spec diffs, modeling
 // the flow churn a vehicle program sees across planning runs: functions are
-// added and retired, and harness links go bad and come back. Each step's
-// delta applies to the problem produced by the previous step (not to the
-// original base), so a trace replays as a chain of incremental re-plans —
-// exactly what the warm-start evaluation measures.
+// added and retired. Each step's delta applies to the problem produced by
+// the previous step (not to the original base), so a trace replays as a
+// chain of incremental re-plans — exactly what the warm-start evaluation
+// measures.
 type ChurnTrace struct {
 	// Name identifies the trace (scenario + churn parameters + seed).
 	Name string
@@ -22,6 +22,13 @@ type ChurnTrace struct {
 	// Steps are the spec diffs, each relative to its predecessor's output.
 	Steps []serialize.DeltaJSON
 }
+
+// A churn trace's base problem uses the stateless greedy NBF and the
+// reliability goal R = 1e-6.
+const (
+	churnRecovery        = "stateless-greedy"
+	churnReliabilityGoal = 1e-6
+)
 
 // ChurnOptions parameterizes Churn.
 type ChurnOptions struct {
@@ -37,15 +44,6 @@ type ChurnOptions struct {
 	// one flow always remains.
 	AddsPerStep    int
 	RemovesPerStep int
-	// DamageLinks, when true, lets a step damage one switch-switch candidate
-	// link whose removal keeps the backbone connected; the next step restores
-	// it. End-station attachments are never damaged.
-	DamageLinks bool
-	// ReliabilityGoal is the base goal (default 1e-6).
-	ReliabilityGoal float64
-	// Recovery names the NBF used in the encoded base (default
-	// "stateless-greedy").
-	Recovery string
 	// Seed drives flow generation and churn choices; must be non-zero, for
 	// the same reason Random rejects zero seeds.
 	Seed int64
@@ -76,24 +74,17 @@ func Churn(opts ChurnOptions) (*ChurnTrace, error) {
 	if opts.RemovesPerStep < 0 {
 		opts.RemovesPerStep = 0
 	}
-	if opts.ReliabilityGoal <= 0 {
-		opts.ReliabilityGoal = 1e-6
-	}
-	if opts.Recovery == "" {
-		opts.Recovery = "stateless-greedy"
-	}
-	reg := nbf.NewRegistry()
-	recovery, err := reg.New(opts.Recovery)
+	recovery, err := nbf.NewRegistry().New(churnRecovery)
 	if err != nil {
 		return nil, fmt.Errorf("churn trace: %w", err)
 	}
 
 	s := opts.Scenario
-	prob := s.Problem(s.RandomFlows(opts.BaseFlows, opts.Seed), recovery, opts.ReliabilityGoal)
+	prob := s.Problem(s.RandomFlows(opts.BaseFlows, opts.Seed), recovery, churnReliabilityGoal)
 	if err := prob.Validate(); err != nil {
 		return nil, fmt.Errorf("churn trace: base problem: %w", err)
 	}
-	base := serialize.EncodeProblem(prob, opts.Recovery)
+	base := serialize.EncodeProblem(prob, churnRecovery)
 
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x636875726e)) // distinct stream from flow gen
 	trace := &ChurnTrace{
@@ -108,7 +99,6 @@ func Churn(opts ChurnOptions) (*ChurnTrace, error) {
 			nextID = f.ID + 1
 		}
 	}
-	var damaged *serialize.EdgeJSON // link the previous step damaged, if any
 	for step := 0; step < opts.Steps; step++ {
 		var d serialize.DeltaJSON
 		// Removals first: drop the oldest surviving flows, keeping >= 1.
@@ -120,18 +110,6 @@ func Churn(opts ChurnOptions) (*ChurnTrace, error) {
 		adds := newFlows(s, rng, opts.AddsPerStep, nextID, cur.BasePeriodNs)
 		nextID += len(adds)
 		d.AddFlows = adds
-		// Link churn: restore last step's damage, then maybe damage anew.
-		if damaged != nil {
-			d.RestoreLinks = append(d.RestoreLinks, *damaged)
-			damaged = nil
-		} else if opts.DamageLinks {
-			if e := removableBackboneLink(cur, rng); e != nil {
-				d.DamageLinks = append(d.DamageLinks, serialize.LinkRefJSON{U: e.U, V: e.V})
-				cp := *e
-				damaged = &cp
-			}
-		}
-
 		next, err := serialize.ApplyDelta(cur, d)
 		if err != nil {
 			return nil, fmt.Errorf("churn trace: step %d does not apply: %w", step, err)
@@ -169,70 +147,4 @@ func newFlows(s *Scenario, rng *rand.Rand, n, firstID int, periodNs int64) []ser
 		})
 	}
 	return out
-}
-
-// removableBackboneLink picks a random switch-switch edge whose removal
-// keeps the switch backbone connected (so the derived problem still admits
-// redundant plans). Returns nil when no such edge exists.
-func removableBackboneLink(spec serialize.ProblemJSON, rng *rand.Rand) *serialize.EdgeJSON {
-	isSwitch := make(map[int]bool, len(spec.Connections.Vertices))
-	var switches []int
-	for _, v := range spec.Connections.Vertices {
-		if v.Kind == "sw" {
-			isSwitch[v.ID] = true
-			switches = append(switches, v.ID)
-		}
-	}
-	var candidates []serialize.EdgeJSON
-	for _, e := range spec.Connections.Edges {
-		if isSwitch[e.U] && isSwitch[e.V] && backboneConnectedWithout(spec, switches, e) {
-			candidates = append(candidates, e)
-		}
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	e := candidates[rng.Intn(len(candidates))]
-	return &e
-}
-
-// backboneConnectedWithout runs a BFS over the switch-switch edges of spec,
-// skipping the candidate edge, and reports whether all switches stay in one
-// component.
-func backboneConnectedWithout(spec serialize.ProblemJSON, switches []int, skip serialize.EdgeJSON) bool {
-	if len(switches) <= 1 {
-		return true
-	}
-	isSwitch := make(map[int]bool, len(switches))
-	for _, id := range switches {
-		isSwitch[id] = true
-	}
-	adj := make(map[int][]int, len(switches))
-	for _, e := range spec.Connections.Edges {
-		if !isSwitch[e.U] || !isSwitch[e.V] {
-			continue
-		}
-		if sameUndirected(e, skip) {
-			continue
-		}
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	}
-	seen := map[int]bool{switches[0]: true}
-	queue := []int{switches[0]}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return len(seen) == len(switches)
-}
-
-func sameUndirected(a, b serialize.EdgeJSON) bool {
-	return (a.U == b.U && a.V == b.V) || (a.U == b.V && a.V == b.U)
 }

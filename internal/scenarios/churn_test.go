@@ -24,8 +24,7 @@ func TestChurnTraceRepliesCleanly(t *testing.T) {
 	}
 	trace, err := Churn(ChurnOptions{
 		Scenario: s, BaseFlows: 3, Steps: 6,
-		AddsPerStep: 2, RemovesPerStep: 1,
-		DamageLinks: true, Seed: 7,
+		AddsPerStep: 2, RemovesPerStep: 1, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,52 +54,12 @@ func TestChurnTraceRepliesCleanly(t *testing.T) {
 	}
 }
 
-func TestChurnTraceDamageRestores(t *testing.T) {
-	s, err := Family("mesh", 6, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := Churn(ChurnOptions{
-		Scenario: s, BaseFlows: 2, Steps: 8,
-		DamageLinks: true, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Damage and restore must alternate: a damaged link is restored by the
-	// very next step, so the trace never strands the graph degraded for more
-	// than one re-plan.
-	var pendingDamage *serialize.LinkRefJSON
-	sawDamage := false
-	for i, d := range trace.Steps {
-		if pendingDamage != nil {
-			if len(d.RestoreLinks) != 1 || !sameLinkRef(*pendingDamage, d.RestoreLinks[0]) {
-				t.Fatalf("step %d does not restore link damaged at step %d", i, i-1)
-			}
-			pendingDamage = nil
-		} else if len(d.RestoreLinks) != 0 {
-			t.Fatalf("step %d restores a link nothing damaged", i)
-		}
-		if len(d.DamageLinks) > 0 {
-			sawDamage = true
-			if len(d.DamageLinks) != 1 {
-				t.Fatalf("step %d damages %d links, want at most 1", i, len(d.DamageLinks))
-			}
-			l := d.DamageLinks[0]
-			pendingDamage = &l
-		}
-	}
-	if !sawDamage {
-		t.Fatal("mesh backbone has removable links but no step damaged one")
-	}
-}
-
 func TestChurnDeterministic(t *testing.T) {
 	s, err := Family("ring", 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := ChurnOptions{Scenario: s, BaseFlows: 3, Steps: 4, DamageLinks: true, Seed: 5}
+	opts := ChurnOptions{Scenario: s, BaseFlows: 3, Steps: 4, Seed: 5}
 	a, err := Churn(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +85,4 @@ func TestChurnValidation(t *testing.T) {
 	if _, err := Churn(ChurnOptions{Scenario: s}); err == nil {
 		t.Error("zero seed accepted")
 	}
-	if _, err := Churn(ChurnOptions{Scenario: s, Seed: 1, Recovery: "no-such-nbf"}); err == nil {
-		t.Error("unknown recovery accepted")
-	}
-}
-
-func sameLinkRef(a serialize.LinkRefJSON, e serialize.EdgeJSON) bool {
-	return (a.U == e.U && a.V == e.V) || (a.U == e.V && a.V == e.U)
 }

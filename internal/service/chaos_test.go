@@ -109,19 +109,25 @@ func TestChaosCrashRestartRequeuesJournaledJobs(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
 			block := make(chan struct{})
-			defer close(block) // release the abandoned worker after the test
+			// Deferred, the release runs before the t.Cleanup shutdowns that
+			// newTestManager registers, so the abandoned manager drains its
+			// released job before the temp dir is removed.
+			defer close(block)
 
-			m1, err := New(Options{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m1.testBeforeRun = func(*job) { <-block }
+			m1 := newTestManager(t, Options{Dir: dir})
+			parked := make(chan struct{})
+			m1.testBeforeRun = func(*job) { close(parked); <-block }
 			st, err := m1.Submit(seededRequest(t, seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Wait for the running journal record to hit the disk — the
-			// instant after which a crash must not lose the job.
+			// Submit's own journal write can already carry the running
+			// state while the worker's write of it is still in flight; once
+			// the worker parks, m1 writes nothing more for the next boot to
+			// trip over.
+			<-parked
+			// The running journal record is on disk — the instant after
+			// which a crash must not lose the job.
 			recPath := recordFile(dir, st.ID)
 			waitFor(t, func() bool {
 				data, err := os.ReadFile(recPath)
@@ -307,16 +313,16 @@ func TestChaosWatchdogInterruptsStuckJob(t *testing.T) {
 }
 
 // TestChaosPoisonFingerprintQuarantined: a fingerprint that panics the
-// planner PoisonPanics times is refused with ErrPoisoned instead of being
-// fed to a worker again.
+// planner poisonPanics (3) times is refused with ErrPoisoned instead of
+// being fed to a worker again.
 func TestChaosPoisonFingerprintQuarantined(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			in := fault.New(seed, fault.Rule{Point: fault.PointPlan, Kind: fault.KindPanic, Prob: 1})
 			t.Log(in.String())
-			m := newTestManager(t, Options{PoisonPanics: 2, Fault: in})
+			m := newTestManager(t, Options{Fault: in})
 			req := seededRequest(t, seed)
-			for i := 0; i < 2; i++ {
+			for i := 0; i < 3; i++ {
 				st, err := m.Submit(req)
 				if err != nil {
 					t.Fatalf("submit %d: %v", i+1, err)
@@ -326,7 +332,7 @@ func TestChaosPoisonFingerprintQuarantined(t *testing.T) {
 				}
 			}
 			if _, err := m.Submit(req); !errors.Is(err, ErrPoisoned) {
-				t.Fatalf("third submission of a double-panicked fingerprint: %v, want ErrPoisoned", err)
+				t.Fatalf("fourth submission of a thrice-panicked fingerprint: %v, want ErrPoisoned", err)
 			}
 			// A different fingerprint is still welcome (and still crashes,
 			// but that is its own budget).

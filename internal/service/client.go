@@ -27,18 +27,22 @@ type Client struct {
 	BaseURL string
 	// HTTP is the underlying client (http.DefaultClient when nil).
 	HTTP *http.Client
-	// Retries is the per-call retry budget beyond the first attempt
-	// (default 4).
-	Retries int
-	// Backoff is the base of the exponential backoff (default 100ms):
-	// retry n sleeps Backoff×2ⁿ plus up to 50% jitter.
-	Backoff time.Duration
 	// MaxBackoff caps every sleep, including server-directed Retry-After
 	// pacing (default 30s). The server's estimate is advice, not a
 	// contract: a buggy or overloaded server advertising an absurd pause
 	// must not park the client for it.
 	MaxBackoff time.Duration
 }
+
+// clientRetries is the per-call retry budget beyond the first attempt, and
+// clientBackoff the base of the exponential backoff: retry n sleeps
+// clientBackoff×2ⁿ plus up to 50% jitter. Both are short because the
+// fleet coordinator, which holds one Client per replica, falls back along
+// its ring: that is the real retry.
+const (
+	clientRetries = 2
+	clientBackoff = 50 * time.Millisecond
+)
 
 // APIError is a non-2xx response from the server.
 type APIError struct {
@@ -57,20 +61,6 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) retries() int {
-	if c.Retries > 0 {
-		return c.Retries
-	}
-	return 4
-}
-
-func (c *Client) backoff() time.Duration {
-	if c.Backoff > 0 {
-		return c.Backoff
-	}
-	return 100 * time.Millisecond
-}
-
 func (c *Client) maxBackoff() time.Duration {
 	if c.MaxBackoff > 0 {
 		return c.MaxBackoff
@@ -84,7 +74,7 @@ func (c *Client) maxBackoff() time.Duration {
 func (c *Client) delay(attempt int, retryAfter time.Duration) time.Duration {
 	d := retryAfter
 	if d <= 0 {
-		d = c.backoff() << attempt
+		d = clientBackoff << attempt
 		d += time.Duration(rand.Int63n(int64(d)/2 + 1))
 	}
 	return min(d, c.maxBackoff())
@@ -157,7 +147,7 @@ func (c *Client) Submit(ctx context.Context, req Request) (Status, error) {
 				find = false
 			}
 		}
-		if attempt >= c.retries() {
+		if attempt >= clientRetries {
 			return Status{}, lastErr
 		}
 		if serr := c.sleep(ctx, c.delay(attempt, retryAfter)); serr != nil {
@@ -336,7 +326,7 @@ func (c *Client) retry(ctx context.Context, once func() error) error {
 		if errors.As(err, &ae) && ae.StatusCode < 500 && ae.StatusCode != http.StatusTooManyRequests {
 			return err
 		}
-		if attempt >= c.retries() {
+		if attempt >= clientRetries {
 			return err
 		}
 		if serr := c.sleep(ctx, c.delay(attempt, 0)); serr != nil {

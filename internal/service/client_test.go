@@ -51,7 +51,7 @@ func TestClientSubmitIdempotentAcrossConnectionLoss(t *testing.T) {
 	srv := httptest.NewServer(&dropFirstPost{mux: NewMux(m, nil)})
 	defer srv.Close()
 
-	c := &Client{BaseURL: srv.URL, Backoff: 5 * time.Millisecond}
+	c := &Client{BaseURL: srv.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	st, err := c.Submit(ctx, tinyRequest(t))
@@ -88,14 +88,12 @@ func TestClientSubmitDoesNotRepostOnUnreadableJobList(t *testing.T) {
 	defer srv.Close()
 
 	// Round trip 1 is the POST; 2–4 are the first lookup's list read and
-	// its two retries.
+	// its clientRetries (2) retries.
 	in := fault.New(42, fault.Rule{Point: fault.PointRoundTrip, Kind: fault.KindTorn, Calls: []int{1, 2, 3, 4}, TornBytes: 16})
 	t.Log(in.String())
 	c := &Client{
 		BaseURL: srv.URL,
 		HTTP:    &http.Client{Transport: &fault.Transport{In: in}},
-		Retries: 2,
-		Backoff: 5 * time.Millisecond,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -145,9 +143,10 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 
-	// Backoff far below the Retry-After: only honoring the header explains
-	// a ≥1s gap between the attempts.
-	c := &Client{BaseURL: srv.URL, Backoff: time.Millisecond}
+	// The client's own backoff (clientBackoff, at most 75ms with jitter) is
+	// far below the Retry-After: only honoring the header explains a ≥1s
+	// gap between the attempts.
+	c := &Client{BaseURL: srv.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	st, err := c.Submit(ctx, tinyRequest(t))
@@ -182,7 +181,7 @@ func TestClientDoesNotRetryRejectedRequests(t *testing.T) {
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 
-	c := &Client{BaseURL: srv.URL, Backoff: time.Millisecond}
+	c := &Client{BaseURL: srv.URL}
 	_, err := c.Submit(context.Background(), tinyRequest(t))
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.StatusCode != http.StatusUnprocessableEntity {
@@ -225,7 +224,7 @@ func TestClientBackoffAbortsOnCancel(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := &Client{BaseURL: srv.URL, Backoff: time.Millisecond}
+	c := &Client{BaseURL: srv.URL}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond) // let the first attempt land and the sleep begin
@@ -263,7 +262,7 @@ func TestClientClampsAbsurdRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := &Client{BaseURL: srv.URL, Backoff: time.Millisecond, MaxBackoff: 50 * time.Millisecond}
+	c := &Client{BaseURL: srv.URL, MaxBackoff: 50 * time.Millisecond}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if _, err := c.Submit(ctx, tinyRequest(t)); err != nil {
@@ -295,7 +294,7 @@ func TestClientCancel(t *testing.T) {
 	srv := httptest.NewServer(NewMux(m, nil))
 	defer srv.Close()
 
-	c := &Client{BaseURL: srv.URL, Backoff: time.Millisecond}
+	c := &Client{BaseURL: srv.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	st, err := c.Submit(ctx, tinyRequest(t))
@@ -315,26 +314,28 @@ func TestClientCancel(t *testing.T) {
 	}
 }
 
-// TestClientPoisonedEndToEnd: the server's 422 for a poisoned fingerprint
-// travels through the client untouched.
+// TestClientPoisonedEndToEnd: after three planner panics, the server's 422
+// for the poisoned fingerprint travels through the client untouched.
 func TestClientPoisonedEndToEnd(t *testing.T) {
 	in := fault.New(7, fault.Rule{Point: fault.PointPlan, Kind: fault.KindPanic, Prob: 1})
-	m := newTestManager(t, Options{PoisonPanics: 1, Fault: in})
+	m := newTestManager(t, Options{Fault: in})
 	srv := httptest.NewServer(NewMux(m, nil))
 	defer srv.Close()
 
-	c := &Client{BaseURL: srv.URL, Backoff: time.Millisecond}
+	c := &Client{BaseURL: srv.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	req := tinyRequest(t)
-	st, err := c.Submit(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		st, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i+1, err)
+		}
+		if final, err := c.Wait(ctx, st.ID, 10*time.Millisecond); err != nil || final.State != StateFailed {
+			t.Fatalf("crashing job %d = %v %v, want failed", i+1, final, err)
+		}
 	}
-	if final, err := c.Wait(ctx, st.ID, 10*time.Millisecond); err != nil || final.State != StateFailed {
-		t.Fatalf("crashing job = %v %v, want failed", final, err)
-	}
-	_, err = c.Submit(ctx, req)
+	_, err := c.Submit(ctx, req)
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("resubmission of a poisoned fingerprint: %v, want 422", err)

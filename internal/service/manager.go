@@ -31,8 +31,8 @@ var (
 	// job finished (HTTP 409).
 	ErrNotTerminal = errors.New("service: job has not finished")
 	// ErrPoisoned is returned for submissions whose fingerprint has
-	// panicked the planner Options.PoisonPanics times — a reproducible
-	// crasher that re-running cannot fix (HTTP 422).
+	// panicked the planner poisonPanics times — a reproducible crasher
+	// that re-running cannot fix (HTTP 422).
 	ErrPoisoned = errors.New("service: job fingerprint is quarantined after repeated panics")
 	// ErrBaseNotFound is returned for delta submissions whose base
 	// reference resolves to nothing this server knows — no job with that
@@ -40,6 +40,11 @@ var (
 	// problem to fall back on (HTTP 404).
 	ErrBaseNotFound = errors.New("service: delta base not found")
 )
+
+// poisonPanics is the per-fingerprint panic budget: once planning a
+// fingerprint has panicked this many times, further submissions of it are
+// refused with ErrPoisoned.
+const poisonPanics = 3
 
 // Options configures a Manager.
 type Options struct {
@@ -68,10 +73,6 @@ type Options struct {
 	// journaled job: a job interrupted by crashes this many times is
 	// failed on the next boot instead of re-queued (default 3).
 	MaxAttempts int
-	// PoisonPanics is the per-fingerprint panic budget: once planning a
-	// fingerprint has panicked this many times, further submissions of it
-	// are refused with ErrPoisoned (default 3).
-	PoisonPanics int
 	// VerdictCacheSize bounds the server-wide failure-analysis verdict
 	// cache every planning run shares (0 = 65536 entries, negative =
 	// disabled, falling back to each job's own AnalyzerCache). Verdict
@@ -160,9 +161,6 @@ func New(opt Options) (*Manager, error) {
 	}
 	if opt.MaxAttempts <= 0 {
 		opt.MaxAttempts = 3
-	}
-	if opt.PoisonPanics <= 0 {
-		opt.PoisonPanics = 3
 	}
 	if opt.VerdictCacheSize == 0 {
 		opt.VerdictCacheSize = 65536
@@ -367,7 +365,7 @@ func (m *Manager) Submit(req Request) (Status, error) {
 		m.mu.Unlock()
 		return Status{}, ErrDraining
 	}
-	if n := m.panics[j.fingerprint]; n >= m.opt.PoisonPanics {
+	if n := m.panics[j.fingerprint]; n >= poisonPanics {
 		m.mu.Unlock()
 		return Status{}, fmt.Errorf("%w (fingerprint %s, %d panics)", ErrPoisoned, j.fingerprint, n)
 	}
@@ -773,7 +771,7 @@ func (m *Manager) runJob(j *job) {
 // planSafe runs plan with per-job panic containment: a panicking planning
 // run (a planner bug, or an injected service.plan fault) fails only its
 // own job, and the worker goroutine survives to take the next one. Each
-// contained panic counts against the job fingerprint's PoisonPanics
+// contained panic counts against the job fingerprint's poisonPanics
 // budget; once exhausted, Submit refuses the fingerprint with ErrPoisoned
 // instead of feeding a reproducible crasher to a worker again.
 func (m *Manager) planSafe(ctx context.Context, j *job) (res *Result, errMsg string) {
@@ -789,7 +787,7 @@ func (m *Manager) planSafe(ctx context.Context, j *job) (res *Result, errMsg str
 		n := m.panics[j.fingerprint]
 		m.mu.Unlock()
 		m.emit(obsv.Event{Type: EventPanic, Msg: j.id, V: map[string]float64{"fingerprint_panics": float64(n)}})
-		if n == m.opt.PoisonPanics {
+		if n == poisonPanics {
 			m.met.poisoned.Inc()
 			m.emit(obsv.Event{Type: EventPoisoned, Msg: j.fingerprint, V: map[string]float64{"panics": float64(n)}})
 		}

@@ -28,7 +28,7 @@ const (
 	// after a restart (attempt number in V).
 	EventRequeued = "job_requeued"
 	// EventPoisoned records a fingerprint being refused: either its
-	// planning runs panicked PoisonPanics times, or a journaled job
+	// planning runs panicked poisonPanics times, or a journaled job
 	// exhausted MaxAttempts restarts.
 	EventPoisoned = "job_poisoned"
 	// EventStoreCorrupt records record files quarantined into corrupt/ at
