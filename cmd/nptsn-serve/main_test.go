@@ -90,12 +90,18 @@ func TestServeLifecycleAndRestart(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
-	}
 	var st service.Status
 	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
+		t.Fatalf("submit = %d: %v\n%s", resp.StatusCode, err, body)
+	}
+	// The POST holds its answer briefly for the job: 200 when the job is
+	// terminal by then, 202 while it is live.
+	want := http.StatusAccepted
+	if st.State.Terminal() {
+		want = http.StatusOK
+	}
+	if resp.StatusCode != want {
+		t.Fatalf("submit = %d with state %s, want %d: %s", resp.StatusCode, st.State, want, body)
 	}
 
 	// Poll to completion over HTTP.

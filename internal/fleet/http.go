@@ -81,9 +81,9 @@ func (a *apiServer) submit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err != nil:
 		writeFleetErr(w, err)
-	case st.CacheHit || st.State == service.StateDone:
-		// Answered without new planning work: fleet dedup, a replica's plan
-		// cache, or adoption of an already-finished job.
+	case st.State.Terminal():
+		// Answered, as a replica answers: by fleet dedup, adoption of a
+		// finished job, or a replica's plan cache or POST hold.
 		writeJSON(w, http.StatusOK, st)
 	default:
 		writeJSON(w, http.StatusAccepted, st)

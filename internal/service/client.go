@@ -27,10 +27,10 @@ type Client struct {
 	BaseURL string
 	// HTTP is the underlying client (http.DefaultClient when nil).
 	HTTP *http.Client
-	// MaxBackoff caps every sleep, including server-directed Retry-After
-	// pacing (default 30s). The server's estimate is advice, not a
-	// contract: a buggy or overloaded server advertising an absurd pause
-	// must not park the client for it.
+	// MaxBackoff, when positive, caps every sleep, including
+	// server-directed Retry-After pacing. The server's estimate is advice,
+	// not a contract: a buggy or overloaded server advertising an absurd
+	// pause must not park the client for it.
 	MaxBackoff time.Duration
 }
 
@@ -61,23 +61,19 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) maxBackoff() time.Duration {
-	if c.MaxBackoff > 0 {
-		return c.MaxBackoff
-	}
-	return 30 * time.Second
-}
-
 // delay computes the sleep before retry number attempt (0-based): the
 // server's Retry-After when it sent one, else jittered exponential
-// backoff; both capped at MaxBackoff.
+// backoff; both capped at MaxBackoff when it is set.
 func (c *Client) delay(attempt int, retryAfter time.Duration) time.Duration {
 	d := retryAfter
 	if d <= 0 {
 		d = clientBackoff << attempt
 		d += time.Duration(rand.Int63n(int64(d)/2 + 1))
 	}
-	return min(d, c.maxBackoff())
+	if c.MaxBackoff > 0 {
+		d = min(d, c.MaxBackoff)
+	}
+	return d
 }
 
 // sleep waits d or until ctx is cancelled.
@@ -92,11 +88,11 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Submit posts one planning request and returns the accepted (or
-// cache-hit) job's status. An invalid request fails fast without touching
-// the server. On an ambiguous transport failure the job is re-found by
-// fingerprint before any resubmission, keeping the submission idempotent
-// even when the first response was lost.
+// Submit posts one planning request and returns the job's status as
+// answered, terminal for a cache hit or a job done within the server's
+// hold. An invalid request fails fast without touching the server. On an
+// ambiguous transport failure the job is re-found by fingerprint before
+// any resubmission, keeping it idempotent when the first response is lost.
 func (c *Client) Submit(ctx context.Context, req Request) (Status, error) {
 	// The same canonicalization the server runs; it yields the fingerprint
 	// the accepted job will carry, which is what makes re-finding possible.
@@ -238,7 +234,7 @@ func (c *Client) Get(ctx context.Context, id string) (Status, error) {
 }
 
 // Result returns a finished job's result, retrying transient failures.
-// The server answers 409 while the job is live; Wait first.
+// The server answers 409 while the job is live.
 func (c *Client) Result(ctx context.Context, id string) (*Result, error) {
 	var res Result
 	if err := c.getJSON(ctx, "/v1/jobs/"+id+"/result", &res); err != nil {
@@ -284,26 +280,6 @@ func (c *Client) cancelOnce(ctx context.Context, id string) (Status, error) {
 		return Status{ID: id}, nil
 	default:
 		return Status{}, apiError(resp)
-	}
-}
-
-// Wait polls a job's status every poll interval (default 500ms) until it
-// reaches a terminal state or ctx expires.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (Status, error) {
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
-	}
-	for {
-		st, err := c.Get(ctx, id)
-		if err != nil {
-			return Status{}, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		if err := c.sleep(ctx, poll); err != nil {
-			return Status{}, err
-		}
 	}
 }
 

@@ -12,6 +12,22 @@ import (
 	"repro/internal/fault"
 )
 
+// pollTerminal polls a job's status through the client every 5 ms until
+// it is terminal or ctx ends.
+func pollTerminal(ctx context.Context, c *Client, id string) (Status, error) {
+	for {
+		st, err := c.Get(ctx, id)
+		if err != nil || st.State.Terminal() {
+			return st, err
+		}
+		select {
+		case <-ctx.Done():
+			return st, ctx.Err()
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
 // dropFirstPost forwards everything to the real API but kills the
 // connection of the first POST after the engine has accepted the job —
 // the ambiguous-failure shape: the submission landed, the response died.
@@ -65,7 +81,7 @@ func TestClientSubmitIdempotentAcrossConnectionLoss(t *testing.T) {
 		t.Fatalf("server holds %d jobs, want 1 — the retry duplicated the submission", len(jobs))
 	}
 	// The adopted job is fully usable: wait it out and fetch the result.
-	final, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	final, err := pollTerminal(ctx, c, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +240,7 @@ func TestClientBackoffAbortsOnCancel(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := &Client{BaseURL: srv.URL}
+	c := &Client{BaseURL: srv.URL, MaxBackoff: 30 * time.Second}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond) // let the first attempt land and the sleep begin
@@ -305,7 +321,7 @@ func TestClientCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	release() // let the parked worker observe the cancelled context
-	final, err := c.Wait(ctx, st.ID, 5*time.Millisecond)
+	final, err := pollTerminal(ctx, c, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +347,7 @@ func TestClientPoisonedEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i+1, err)
 		}
-		if final, err := c.Wait(ctx, st.ID, 10*time.Millisecond); err != nil || final.State != StateFailed {
+		if final, err := pollTerminal(ctx, c, st.ID); err != nil || final.State != StateFailed {
 			t.Fatalf("crashing job %d = %v %v, want failed", i+1, final, err)
 		}
 	}

@@ -340,11 +340,6 @@ type job struct {
 	// cold).
 	warm *core.Solution
 
-	// persistMu serializes the job's record writes, snapshot through
-	// rename, so a slow write of an older state (Submit journaling
-	// "queued") cannot land after a newer one (the worker's "running").
-	persistMu sync.Mutex
-
 	mu sync.Mutex
 	// st is the job's client-visible state, the one copy of it: status()
 	// returns it, the record journals it, and a restart rebuilds it from
@@ -363,7 +358,7 @@ type job struct {
 	stalled bool
 
 	// terminal is closed once the job is terminal and counted (see
-	// Manager.finishLocked); tests wait on it.
+	// Manager.finishLocked); the POST hold and tests wait on it.
 	terminal chan struct{}
 }
 

@@ -392,29 +392,39 @@ func (m *Manager) Submit(req Request) (Status, error) {
 		m.closeOut(j, obsv.Event{Type: EventCacheHit, Msg: j.id})
 		return j.status(), nil
 	}
-	// The answer is snapshotted while the job is still private: once it is
-	// on the queue, a worker may start it at any moment.
-	st := j.st
-	select {
-	case m.queue <- j:
-		m.trackLocked(j)
-		m.registerSpecLocked(j.fingerprint, &req)
-		depth := len(m.queue)
-		m.mu.Unlock()
-		m.met.cacheMiss.Inc()
-		m.met.submitted.Inc()
-		m.met.queueDepth.Add(1)
-		m.emit(obsv.Event{Type: EventSubmitted, Msg: j.id, V: map[string]float64{"queue_depth": float64(depth)}})
-		// Journal the accepted job (with its request) before answering 202:
-		// from here on a crash must re-queue it, not lose it.
+	full := len(m.queue) == cap(m.queue)
+	m.mu.Unlock()
+	if !full {
+		// Journal the job (with its request) while it is still private:
+		// once it is on the queue a worker may start it at any moment.
 		m.persist(j)
-		return st, nil
-	default:
+		st := j.st
+		m.mu.Lock()
+		draining := m.draining // a drain may have begun meanwhile
+		if !draining && len(m.queue) < cap(m.queue) {
+			m.queue <- j // never blocks: outside m.mu only workers, which make room, touch the queue
+			m.trackLocked(j)
+			m.registerSpecLocked(j.fingerprint, &req)
+			depth := len(m.queue)
+			m.mu.Unlock()
+			m.met.cacheMiss.Inc()
+			m.met.submitted.Inc()
+			m.met.queueDepth.Add(1)
+			m.emit(obsv.Event{Type: EventSubmitted, Msg: j.id, V: map[string]float64{"queue_depth": float64(depth)}})
+			return st, nil
+		}
 		m.mu.Unlock()
-		m.met.rejected.Inc()
-		m.emit(obsv.Event{Type: EventRejected, V: map[string]float64{"queue_size": float64(m.opt.QueueSize)}})
-		return Status{}, ErrQueueFull
+		// Refused after all: the next boot must not re-queue the job.
+		if m.opt.Dir != "" && deleteRecord(m.opt.Dir, j.id) != nil {
+			m.met.storeErrs.Inc()
+		}
+		if draining {
+			return Status{}, ErrDraining
+		}
 	}
+	m.met.rejected.Inc()
+	m.emit(obsv.Event{Type: EventRejected, V: map[string]float64{"queue_size": float64(m.opt.QueueSize)}})
+	return Status{}, ErrQueueFull
 }
 
 // trackLocked adds a job to the job table, last in submission order.
@@ -1052,13 +1062,13 @@ func boolTo01(b bool) float64 {
 // jobs are journaled with their request (crash recovery re-queues them),
 // terminal jobs keep only status and result. A store write failure (disk
 // full, injected fault) is reported and counted, never fatal — the job
-// still completes in memory.
+// still completes in memory. A job's writes never overlap, so no older
+// state lands over a newer one: Submit's finishes before the job is
+// visible, and each later one comes from whoever moved the job on.
 func (m *Manager) persist(j *job) {
 	if m.opt.Dir == "" {
 		return
 	}
-	j.persistMu.Lock()
-	defer j.persistMu.Unlock()
 	j.mu.Lock()
 	rec := record{Status: j.st, Result: j.result, Attempts: j.st.Attempts}
 	j.mu.Unlock()
